@@ -257,6 +257,17 @@ Q = MultiPoly.monomial(1, 0, 1, 0)
 T = MultiPoly.monomial(1, 0, 0, 1)
 
 
+def _bump(acc: dict, key, coeff: MultiPoly):
+    """acc[key] += coeff, keeping no zero entries (the operator engines' state)."""
+    if coeff.is_zero:
+        return
+    s = acc.get(key, ZERO) + coeff
+    if s.is_zero:
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
 class UniPoly:
     """Polynomial in one coordinate x with MultiPoly coefficients.
 
@@ -279,10 +290,6 @@ class UniPoly:
     @classmethod
     def one(cls) -> "UniPoly":
         return cls([ONE])
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls([ZERO, ONE])
 
     @property
     def coeffs(self):
@@ -487,19 +494,6 @@ class PowerSeries:
         return PowerSeries(
             [self._coeffs[k] * k for k in range(1, self._order + 1)], self._order - 1
         )
-
-    def invert(self) -> "PowerSeries":
-        c0 = self._coeffs[0]
-        if not c0.is_constant or c0.is_zero:
-            raise ValueError("constant term not invertible")
-        inv0 = Fraction(1) / c0.constant_value()
-        out = [MultiPoly.constant(inv0)]
-        for n in range(1, self._order + 1):
-            s = ZERO
-            for k in range(1, n + 1):
-                s = s + self._coeffs[k] * out[n - k]
-            out.append(s * (-inv0))
-        return PowerSeries(out, self._order)
 
     def sqrt(self) -> "PowerSeries":
         if self._coeffs[0] != ONE:

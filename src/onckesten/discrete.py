@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .algebra import MultiPoly, ONE, P, Q, ZERO
+from .algebra import MultiPoly, ONE, P, Q, ZERO, _bump
 
 CLT_MOMENT_LIMIT = 6
 
@@ -35,16 +35,6 @@ def kernel_weight(i: int, j: int) -> MultiPoly:
     if i > j:
         return Q
     return ONE
-
-
-def _bump(acc: dict, word: tuple, coeff: MultiPoly):
-    if coeff.is_zero:
-        return
-    s = acc.get(word, ZERO) + coeff
-    if s.is_zero:
-        acc.pop(word, None)
-    else:
-        acc[word] = s
 
 
 def discrete_word_moment(indices: Sequence[int]) -> MultiPoly:

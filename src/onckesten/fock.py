@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, Q, RUNNING, T, UniPoly, ZERO, as_multipoly
+from .algebra import MultiPoly, ONE, P, Q, RUNNING, T, UniPoly, ZERO, _bump, as_multipoly
 from .partitions import IntervalSignature, SetPartition
 
 POSITION_MOMENT_LIMIT = 10
@@ -71,9 +71,6 @@ class CellFunction:
         return (self.interval, self.poly.key())
 
 
-Word = tuple  # tuple of CellFunction
-
-
 class FockVector:
     """Vacuum amplitude plus a finite combination of cell-function words."""
 
@@ -104,11 +101,7 @@ class FockVector:
     def add(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for word, c in other.terms.items():
-            s = out.get(word, ZERO) + c
-            if s.is_zero:
-                out.pop(word, None)
-            else:
-                out[word] = s
+            _bump(out, word, c)
         return FockVector(self.vacuum + other.vacuum, out)
 
     def scale(self, factor) -> "FockVector":
@@ -117,9 +110,6 @@ class FockVector:
             return FockVector.zero()
         return FockVector(self.vacuum * f, {w: c * f for w, c in self.terms.items()})
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda item: tuple(c.key() for c in item[0]))
-
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
@@ -127,16 +117,6 @@ class FockVector:
 
     def __repr__(self):
         return f"FockVector(vacuum={self.vacuum}, words={len(self.terms)})"
-
-
-def _bump(acc: dict, word: Word, coeff: MultiPoly):
-    if coeff.is_zero:
-        return
-    s = acc.get(word, ZERO) + coeff
-    if s.is_zero:
-        acc.pop(word, None)
-    else:
-        acc[word] = s
 
 
 class FockEngine:

@@ -23,15 +23,20 @@ sequences that tie them together:
 plus mixed interval moments, the compound (Poisson-type) moments with their
 symbolic time horizon T, the generalized Euler numbers refining n!*Catalan(n)
 by (disorders, orders), and the pyramid factorization checks.
+
+Every enumeration routine here is one coloring sum, ``_coloring_sum``: over
+a stream of non-crossing bases, scale * T^t * sum of p^e q^e' over each
+base's admissible colorings.  The routines differ only in the bases they
+stream, which colorings count (all k!, or interval-contiguous) and the scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import comb, factorial
-from typing import Optional, Sequence
+from itertools import chain, permutations, product
+from math import comb, factorial, prod
+from typing import Iterable, Optional, Sequence
 
 from .algebra import MultiPoly, ONE, P, PowerSeries, Q, ZERO
 from .partitions import (
@@ -45,31 +50,37 @@ from .partitions import (
     nesting_forest,
 )
 
-POISSON_ENUM_LIMIT = 8
-
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-# -- shared coloring statistics ------------------------------------------------
+# -- the coloring-sum core ------------------------------------------------------
+# perfbench/spans.py rebinds _nc_pairings, _set_partitions, _coloring_histogram
+# and _grouped_histogram in this module by name and relies on their signatures.
+
+
+def _inversion_histogram(colorings: Iterable, edges: Sequence, k: int) -> dict:
+    """e -> number of the given colorings with e inverted parent/child pairs;
+    a coloring lists the k block indices, first-colored block first."""
+    hist: dict = {}
+    pos = [0] * k
+    for coloring in colorings:
+        for i, b in enumerate(coloring):
+            pos[b] = i
+        e = 0
+        for pa, ch in edges:
+            if pos[ch] < pos[pa]:
+                e += 1
+        hist[e] = hist.get(e, 0) + 1
+    return hist
 
 
 def _coloring_histogram(edges: Sequence, k: int) -> dict:
     """e -> number of the k! colorings with e inverted parent/child pairs."""
     if not edges:
         return {0: factorial(k)}
-    hist: dict = {}
-    for perm in permutations(range(k)):
-        inv = [0] * k
-        for i, b in enumerate(perm):
-            inv[b] = i
-        e = 0
-        for pa, ch in edges:
-            if inv[ch] < inv[pa]:
-                e += 1
-        hist[e] = hist.get(e, 0) + 1
-    return hist
+    return _inversion_histogram(permutations(range(k)), edges, k)
 
 
 def _grouped_histogram(edges: Sequence, groups: Sequence) -> dict:
@@ -78,25 +89,28 @@ def _grouped_histogram(edges: Sequence, groups: Sequence) -> dict:
     ``groups`` lists block indices per interval, left interval first; the
     admissible colorings are exactly the concatenations of per-group orders.
     """
-    k = sum(len(g) for g in groups)
-    hist: dict = {}
-    for combo in product(*(permutations(g) for g in groups)):
-        inv = [0] * k
-        i = 0
-        for g in combo:
-            for b in g:
-                inv[b] = i
-                i += 1
-        e = 0
-        for pa, ch in edges:
-            if inv[ch] < inv[pa]:
-                e += 1
-        hist[e] = hist.get(e, 0) + 1
-    return hist
+    combos = product(*(permutations(g) for g in groups if g))
+    return _inversion_histogram(map(chain.from_iterable, combos), edges, sum(map(len, groups)))
 
 
-def _histogram_poly(hist: dict, inner: int, scale: Fraction, t_deg: int = 0) -> dict:
-    return {(e, inner - e, t_deg): Fraction(c) * scale for e, c in hist.items()}
+def _coloring_sum(bases: Iterable) -> MultiPoly:
+    """Sum over bases of scale * T^t * (sum of p^e q^e' over its colorings).
+
+    ``bases`` streams (edges, hist, scale, t) per base, ``hist`` mapping e to
+    its count of admissible colorings, each with e' = len(edges) - e."""
+    return MultiPoly(
+        ((e, len(edges) - e, t), scale * c) for edges, hist, scale, t in bases for e, c in hist.items()
+    )
+
+
+def _pair_sum(n: int, override_limits: bool, covered_only: bool = False) -> MultiPoly:
+    """Weight sum over ordered (covered) non-crossing pair partitions of [2n]."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_limit(2 * n, True, override_limits)
+    bases = (SetPartition(2 * n, blocks) for blocks in _nc_pairings(tuple(range(1, 2 * n + 1))))
+    forests = (nesting_forest(sp).edges for sp in bases if not covered_only or sp.is_covered)
+    return _coloring_sum((edges, _coloring_histogram(edges, n), 1, 0) for edges in forests)
 
 
 # -- route 1: brute enumeration -------------------------------------------------
@@ -104,33 +118,12 @@ def _histogram_poly(hist: dict, inner: int, scale: Fraction, t_deg: int = 0) -> 
 
 def r_by_enumeration(n: int, override_limits: bool = False) -> MultiPoly:
     """r_n as the weight sum over ordered non-crossing pair partitions of [2n]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_limit(2 * n, True, override_limits)
-    acc: dict = {}
-    scale = Fraction(1, factorial(n))
-    for blocks in _nc_pairings(tuple(range(1, 2 * n + 1))):
-        sp = SetPartition(2 * n, blocks)
-        edges = nesting_forest(sp).edges
-        for expo, c in _histogram_poly(_coloring_histogram(edges, n), len(edges), scale).items():
-            acc[expo] = acc.get(expo, Fraction(0)) + c
-    return MultiPoly(acc)
+    return _pair_sum(n, override_limits) / factorial(n)
 
 
 def covered_weight_sum(n: int, override_limits: bool = False) -> MultiPoly:
     """Sum of weights over ordered covered pair partitions of [2n] (= n! s_n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_limit(2 * n, True, override_limits)
-    acc: dict = {}
-    for blocks in _nc_pairings(tuple(range(1, 2 * n + 1))):
-        sp = SetPartition(2 * n, blocks)
-        if not sp.is_covered:
-            continue
-        edges = nesting_forest(sp).edges
-        for expo, c in _histogram_poly(_coloring_histogram(edges, n), len(edges), Fraction(1)).items():
-            acc[expo] = acc.get(expo, Fraction(0)) + c
-    return MultiPoly(acc)
+    return _pair_sum(n, override_limits, covered_only=True)
 
 
 # -- route 2: the covered/outer recursion ---------------------------------------
@@ -329,19 +322,8 @@ def r_by_delaney(n: int) -> MultiPoly:
 
 
 def gen_euler_histogram(n: int, override_limits: bool = False) -> dict:
-    """(e, e') -> count over all ordered non-crossing pair partitions of [2n]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_limit(2 * n, True, override_limits)
-    out: dict = {}
-    for blocks in _nc_pairings(tuple(range(1, 2 * n + 1))):
-        sp = SetPartition(2 * n, blocks)
-        edges = nesting_forest(sp).edges
-        m = len(edges)
-        for e, c in _coloring_histogram(edges, n).items():
-            key = (e, m - e)
-            out[key] = out.get(key, 0) + c
-    return out
+    """(e, e') -> count over all ordered non-crossing pair partitions of [2n]: n! r_n's coefficients."""
+    return {(e, ep): int(c) for (e, ep, _), c in _pair_sum(n, override_limits).items()}
 
 
 def gen_euler(n: int, k: int, j: int, route: str = "formula", override_limits: bool = False) -> Fraction:
@@ -427,40 +409,18 @@ def series_identity_checks(order: int, r_max: int = 3) -> list:
 # -- mixed interval moments --------------------------------------------------------
 
 
-def _base_interval_ranks(blocks: Sequence, sig: IntervalSignature) -> Optional[list]:
-    """Interval index of each block, or None if some block straddles intervals."""
-    ranks = []
-    for b in blocks:
-        r = {sig.assignment[x - 1] for x in b}
-        if len(r) > 1:
-            return None
-        ranks.append(r.pop())
-    return ranks
-
-
-def _measure_factor(lengths: Sequence, block_counts: Sequence) -> Fraction:
-    out = Fraction(1)
-    for lam, b in zip(lengths, block_counts):
-        out *= Fraction(lam) ** b / factorial(b)
-    return out
-
-
-def _adapted_weight_poly(blocks: tuple, sig: IntervalSignature) -> Optional[dict]:
-    """Weight histogram over adapted colorings of one base, or None if the
-    base itself is not adapted to the signature."""
-    ranks = _base_interval_ranks(blocks, sig)
+def _adapted_base(blocks: tuple, sig: IntervalSignature) -> Optional[tuple]:
+    """(edges, hist, scale, 0) of one base over its adapted colorings, or None
+    if the base itself is not adapted to the signature."""
+    ranks = sig.block_intervals(blocks)
     if ranks is None:
         return None
-    sp = SetPartition(sig.n, blocks)
-    edges = nesting_forest(sp).edges
+    edges = nesting_forest(SetPartition(sig.n, blocks)).edges
     groups = [[] for _ in range(sig.interval_count)]
     for bi, r in enumerate(ranks):
         groups[r].append(bi)
-    return {
-        "hist": _grouped_histogram(edges, groups),
-        "inner": len(edges),
-        "block_counts": tuple(len(g) for g in groups),
-    }
+    scale = prod(lam ** len(g) / factorial(len(g)) for lam, g in zip(sig.lengths, groups))
+    return edges, _grouped_histogram(edges, groups), scale, 0
 
 
 def mixed_moment_brownian(sig: IntervalSignature, override_limits: bool = False) -> MultiPoly:
@@ -478,15 +438,8 @@ def mixed_moment_brownian(sig: IntervalSignature, override_limits: bool = False)
     _check_limit(n, True, override_limits)
     if sig.pair_multiplicities() is None:
         return ZERO
-    acc: dict = {}
-    for blocks in _nc_pairings(tuple(range(1, n + 1))):
-        data = _adapted_weight_poly(blocks, sig)
-        if data is None:
-            continue
-        scale = _measure_factor(sig.lengths, data["block_counts"])
-        for expo, c in _histogram_poly(data["hist"], data["inner"], scale).items():
-            acc[expo] = acc.get(expo, Fraction(0)) + c
-    return MultiPoly(acc)
+    bases = (_adapted_base(blocks, sig) for blocks in _nc_pairings(tuple(range(1, n + 1))))
+    return _coloring_sum(base for base in bases if base is not None)
 
 
 def pairing_from_stars(stars: Sequence[bool]) -> Optional[tuple]:
@@ -519,13 +472,8 @@ def word_moment_by_enumeration(stars: Sequence[bool], sig: IntervalSignature) ->
     if len(stars) != sig.n:
         raise ValueError("word length does not match signature length")
     blocks = pairing_from_stars(stars)
-    if blocks is None:
-        return ZERO
-    data = _adapted_weight_poly(blocks, sig)
-    if data is None:
-        return ZERO
-    scale = _measure_factor(sig.lengths, data["block_counts"])
-    return MultiPoly(_histogram_poly(data["hist"], data["inner"], scale))
+    base = None if blocks is None else _adapted_base(blocks, sig)
+    return ZERO if base is None else _coloring_sum([base])
 
 
 # -- compound (Poisson-type) moments ------------------------------------------------
@@ -539,23 +487,16 @@ def poisson_moment(n: int, override_limits: bool = False) -> MultiPoly:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > POISSON_ENUM_LIMIT and not override_limits:
-        raise ValueError(
-            f"compound moment enumeration limit is n = {POISSON_ENUM_LIMIT}; "
-            "pass override_limits=True to go further"
-        )
-    acc: dict = {}
-    for blocks in _set_partitions(n):
-        sp = SetPartition(n, blocks)
-        if not is_noncrossing(sp):
-            continue
-        edges = nesting_forest(sp).edges
-        k = sp.block_count
-        scale = Fraction(1, factorial(k))
-        hist = _coloring_histogram(edges, k)
-        for expo, c in _histogram_poly(hist, len(edges), scale, t_deg=k).items():
-            acc[expo] = acc.get(expo, Fraction(0)) + c
-    return MultiPoly(acc)
+    _check_limit(n, False, override_limits)
+
+    def bases():
+        for blocks in _set_partitions(n):
+            sp = SetPartition(n, blocks)
+            if is_noncrossing(sp):
+                k, edges = sp.block_count, nesting_forest(sp).edges
+                yield edges, _coloring_histogram(edges, k), Fraction(1, factorial(k)), k
+
+    return _coloring_sum(bases())
 
 
 # -- pyramid factorizations ----------------------------------------------------------
@@ -594,7 +535,17 @@ def factorization_checks(max_size: int) -> list:
 # -- route comparison ------------------------------------------------------------------
 
 
-ROUTE_NAMES = ("enum", "rec", "closed", "jacobi", "delaney")
+# name -> r_n(n, override_limits); the order fixes ROUTE_NAMES, the CLI's
+# --route choices and the key order of every report.  Each entry looks its
+# route up at call time, so rebinding a route's module name reaches reports.
+_ROUTES = {
+    "enum": lambda n, override_limits: r_by_enumeration(n, override_limits),
+    "rec": lambda n, _: sequences_by_recursion(n).r[n],
+    "closed": lambda n, _: r_by_closed_form(n)[n],
+    "jacobi": lambda n, _: r_by_jacobi(n)[n],
+    "delaney": lambda n, _: r_by_delaney(n),
+}
+ROUTE_NAMES = tuple(_ROUTES)
 
 
 @dataclass(frozen=True)
@@ -617,18 +568,7 @@ def moment_report(n: int, route: str = "all", override_limits: bool = False) -> 
     wanted = list(ROUTE_NAMES) if route == "all" else [route]
     if route == "all" and 2 * n > PAIR_ENUM_LIMIT and not override_limits:
         wanted.remove("enum")
-    routes: dict = {}
-    for name in wanted:
-        if name == "enum":
-            routes[name] = r_by_enumeration(n, override_limits)
-        elif name == "rec":
-            routes[name] = sequences_by_recursion(n).r[n]
-        elif name == "closed":
-            routes[name] = r_by_closed_form(n)[n]
-        elif name == "jacobi":
-            routes[name] = r_by_jacobi(n)[n]
-        elif name == "delaney":
-            routes[name] = r_by_delaney(n)
+    routes = {name: _ROUTES[name](n, override_limits) for name in wanted}
     vals = list(routes.values())
     agreement = all(v == vals[0] for v in vals)
     return MomentReport(n=n, routes=routes, agreement=agreement)

@@ -348,16 +348,23 @@ class IntervalSignature:
             return None
         return tuple(c // 2 for c in counts)
 
+    def block_intervals(self, blocks: Sequence) -> Optional[list]:
+        """Interval index of each block, or None if a block straddles two intervals."""
+        ranks = []
+        for b in blocks:
+            r = {self.assignment[x - 1] for x in b}
+            if len(r) > 1:
+                return None
+            ranks.append(r.pop())
+        return ranks
+
 
 def is_adapted(op: OrderedPartition, sig: IntervalSignature) -> bool:
     """Blocks live on single intervals and colors follow the interval ladder."""
     if op.base.n != sig.n:
         raise ValueError("partition size does not match signature length")
-    ranks = []
-    for b in op.base.blocks:
-        r = {sig.assignment[x - 1] for x in b}
-        if len(r) > 1:
-            return False
-        ranks.append(r.pop())
+    ranks = sig.block_intervals(op.base.blocks)
+    if ranks is None:
+        return False
     seq = [ranks[i] for i in op.order]
     return all(a <= b for a, b in zip(seq, seq[1:]))

@@ -9,7 +9,9 @@ against these.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 
 def set_partitions(n):
@@ -98,3 +100,30 @@ def nc_partitions(n):
     for blocks in set_partitions(n):
         if not crosses(blocks):
             yield blocks
+
+
+def mixed_moment(assignment, lengths) -> dict:
+    """(e, e', 0) -> coefficient of the mixed moment of an interval signature.
+
+    ``assignment[j]`` is the interval rank of position j+1 (intervals ranked
+    left to right), ``lengths[i]`` the length of interval i.  Sums p^e q^e'
+    over the non-crossing pair partitions whose blocks each lie in one
+    interval and over their colorings whose interval ranks never decrease,
+    each base scaled by prod_i lengths[i]^b_i / b_i! with b_i its blocks in
+    interval i.
+    """
+    out = {}
+    for blocks in nc_pair_partitions(len(assignment)):
+        ranks = {b: {assignment[x - 1] for x in b} for b in blocks}
+        if any(len(r) > 1 for r in ranks.values()):
+            continue  # a block straddles two intervals
+        rank = {b: min(r) for b, r in ranks.items()}
+        scale = Fraction(1)
+        for i, length in enumerate(lengths):
+            count = sum(1 for r in rank.values() if r == i)
+            scale *= Fraction(length) ** count / factorial(count)
+        for coloring in permutations(blocks):
+            if all(rank[a] <= rank[b] for a, b in zip(coloring, coloring[1:])):
+                key = disorder_order(blocks, coloring) + (0,)
+                out[key] = out.get(key, 0) + scale
+    return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -178,6 +179,7 @@ def test_byte_determinism(capsys):
         ["clt", "--N", "10", "--moment", "8"],
         ["verify", "--order", "9"],
         ["nosuchcommand"],
+        ["poisson", "--n", "9"],  # exceeds the general enumeration guard
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -185,3 +187,24 @@ def test_usage_errors_exit_two(capsys, argv):
         cli.main(argv)
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["enumerate", "--n", "8"], "e5c2c1710b470d52fc16b356195b9c135221196932ef11822af8f2cbc67a3923"),
+        (["enumerate", "--n", "6", "--general"], "73ea26922d2d93394b8f1e349fe6032f08cb9a25e45151f6a4114c6a0242f49a"),
+        (["moments", "--n", "7", "--route", "enum"], "1ef2f964be95156273fbb5d7cc27818b4ccafd7d3176144e7a50f4b745c629a1"),
+        (["poisson", "--n", "8"], "73e4fbe194c36b2176c4e4e679d8ea8bfd8d5771722bfee8fd861176599059c1"),
+        (
+            ["brownian", "--signature", "f f g g f f g g", "--intervals", "g=[0,1],f=[1,5/2]"],
+            "ed8bbbae9e600317a709212ee5fb4426ecbdf178085cfdd54b1a864e9b2daae4",
+        ),
+    ],
+    ids=["enumerate-8", "enumerate-6-general", "moments-7-enum", "poisson-8", "brownian-two-intervals"],
+)
+def test_stdout_golden_digests(capsys, argv, digest):
+    # sha256 of the byte-reproducible stdout, frozen at the default limits
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,13 +65,65 @@ def test_single_route_selection():
 
 
 def test_enumeration_matches_oracle_weight_histograms():
-    # independent recomputation of r_n from the definitional oracle
+    # independent recomputation of r_n and of the covered sum n! s_n from the
+    # definitional oracle; a covered base pairs 1 with 2n
     for n in range(1, 5):
         acc: dict = {}
+        covered: dict = {}
         for blocks in oracles.nc_pair_partitions(2 * n):
             for (e, ep), count in oracles.weight_histogram(blocks).items():
                 acc[(e, ep, 0)] = acc.get((e, ep, 0), F(0)) + F(count, math.factorial(n))
+                if (1, 2 * n) in blocks:
+                    covered[(e, ep, 0)] = covered.get((e, ep, 0), 0) + count
         assert r_by_enumeration(n) == MultiPoly(acc)
+        assert covered_weight_sum(n) == MultiPoly(covered)
+
+
+GOLDEN_R7 = (
+    "1 + 3p + 3q + 5p^2 + 10pq + 5q^2 + 6p^3 + 18p^2q + 18pq^2 + 6q^3 + 45/8p^4 + 45/2p^3q + "
+    "135/4p^2q^2 + 45/2pq^3 + 45/8q^4 + 33/8p^5 + 165/8p^4q + 165/4p^3q^2 + 165/4p^2q^3 + "
+    "165/8pq^4 + 33/8q^5 + 33/16p^6 + 99/8p^5q + 495/16p^4q^2 + 165/4p^3q^3 + 495/16p^2q^4 + "
+    "99/8pq^5 + 33/16q^6"
+)
+GOLDEN_COVERED6 = "945p^5 + 4725p^4q + 9450p^3q^2 + 9450p^2q^3 + 4725pq^4 + 945q^5"
+GOLDEN_EULER6 = [
+    ((0, 0), 720), ((0, 1), 1800), ((0, 2), 2520), ((0, 3), 2520), ((0, 4), 1890), ((0, 5), 945),
+    ((1, 0), 1800), ((1, 1), 5040), ((1, 2), 7560), ((1, 3), 7560), ((1, 4), 4725),
+    ((2, 0), 2520), ((2, 1), 7560), ((2, 2), 11340), ((2, 3), 9450),
+    ((3, 0), 2520), ((3, 1), 7560), ((3, 2), 9450),
+    ((4, 0), 1890), ((4, 1), 4725),
+    ((5, 0), 945),
+]
+GOLDEN_POISSON8 = (
+    "T + 7T^2 + 21/2pT^2 + 21/2qT^2 + 21T^3 + 35pT^3 + 35qT^3 + 35T^4 + 175/6p^2T^3 + "
+    "140/3pqT^3 + 105/2pT^4 + 175/6q^2T^3 + 105/2qT^4 + 35T^5 + 595/12p^2T^4 + 455/6pqT^4 + "
+    "42pT^5 + 595/12q^2T^4 + 42qT^5 + 21T^6 + 245/8p^3T^4 + 455/8p^2qT^4 + 147/4p^2T^5 + "
+    "455/8pq^2T^4 + 105/2pqT^5 + 35/2pT^6 + 245/8q^3T^4 + 147/4q^2T^5 + 35/2qT^6 + 7T^7 + "
+    "105/4p^3T^5 + 175/4p^2qT^5 + 77/6p^2T^6 + 175/4pq^2T^5 + 49/3pqT^6 + 3pT^7 + "
+    "105/4q^3T^5 + 77/6q^2T^6 + 3qT^7 + T^8 + 203/15p^4T^5 + 1477/60p^3qT^5 + 35/4p^3T^6 + "
+    "287/10p^2q^2T^5 + 49/4p^2qT^6 + 5/3p^2T^7 + 1477/60pq^3T^5 + 49/4pq^2T^6 + 5/3pqT^7 + "
+    "203/15q^4T^5 + 35/4q^3T^6 + 5/3q^2T^7 + 959/180p^4T^6 + 707/90p^3qT^6 + p^3T^7 + "
+    "259/30p^2q^2T^6 + p^2qT^7 + 707/90pq^3T^6 + pq^2T^7 + 959/180q^4T^6 + q^3T^7 + "
+    "49/20p^5T^6 + 56/15p^4qT^6 + 3/5p^4T^7 + 259/60p^3q^2T^6 + 3/5p^3qT^7 + "
+    "259/60p^2q^3T^6 + 3/5p^2q^2T^7 + 56/15pq^4T^6 + 3/5pq^3T^7 + 49/20q^5T^6 + 3/5q^4T^7 + "
+    "1/3p^5T^7 + 1/3p^4qT^7 + 1/3p^3q^2T^7 + 1/3p^2q^3T^7 + 1/3pq^4T^7 + 1/3q^5T^7 + "
+    "1/7p^6T^7 + 1/7p^5qT^7 + 1/7p^4q^2T^7 + 1/7p^3q^3T^7 + 1/7p^2q^4T^7 + 1/7pq^5T^7 + "
+    "1/7q^6T^7"
+)
+
+
+@pytest.mark.parametrize(
+    "compute, golden",
+    [
+        (lambda: str(r_by_enumeration(7)), GOLDEN_R7),
+        (lambda: str(covered_weight_sum(6)), GOLDEN_COVERED6),
+        (lambda: sorted(gen_euler_histogram(6).items()), GOLDEN_EULER6),
+        (lambda: str(poisson_moment(8)), GOLDEN_POISSON8),
+    ],
+    ids=["r_by_enumeration-7", "covered_weight_sum-6", "gen_euler_histogram-6", "poisson_moment-8"],
+)
+def test_enumeration_goldens_at_the_default_limits(compute, golden):
+    assert compute() == golden
 
 
 def test_enumeration_limit_guard():
@@ -245,6 +298,34 @@ def test_mixed_moment_worked_two_interval_case():
         ("f", "f", "g", "g", "f", "f"), {"g": (0, 1), "f": (1, 2)}
     )
     assert mixed_moment_brownian(sig) == _half(P * P + P * Q + _c(2))
+
+
+def test_mixed_moment_matches_oracle_on_interval_ladders():
+    # 2 and 3 intervals up to 8 positions; in (0, 0, 1, 1) the base
+    # {1,4},{2,3} straddles both intervals and only {1,2},{3,4} is adapted.
+    # The random signatures put each block of a random pairing on a random
+    # interval, so at least that base is adapted.
+    rng = random.Random(7)
+    cases = [
+        ((F(1), F(2)), (0, 0, 1, 1)),
+        ((F(1), F(1), F(1)), (0, 1, 2, 2, 1, 0)),
+        ((F(1, 2), F(3), F(2)), (2, 2, 0, 1, 1, 0, 2, 2)),
+    ]
+    for n in (2, 4, 6, 8):
+        pairings = list(oracles.nc_pair_partitions(n))
+        for k in (2, 3):
+            for _ in range(4):
+                assignment = [0] * n
+                for block in rng.choice(pairings):
+                    rank = rng.randrange(k)
+                    for x in block:
+                        assignment[x - 1] = rank
+                lengths = tuple(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(k))
+                cases.append((lengths, tuple(assignment)))
+    assert mixed_moment_brownian(IntervalSignature(*cases[0])) == _c(2)
+    for lengths, assignment in cases:
+        got = mixed_moment_brownian(IntervalSignature(lengths, assignment))
+        assert got == MultiPoly(oracles.mixed_moment(assignment, lengths)), (lengths, assignment)
 
 
 def test_mixed_moment_vanishes_for_odd_data():
