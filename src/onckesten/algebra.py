@@ -25,13 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
-
-Expo = tuple  # (deg_p, deg_q, deg_T)
 Scalar = Union[int, Fraction]
-
-# sentinel accepted as an integration bound: running upper limit
-RUNNING = "x"
 
 
 def _term_sort_key(expo):
@@ -356,27 +350,6 @@ class UniPoly:
     def antiderivative(self) -> "UniPoly":
         return UniPoly([ZERO] + [c / (k + 1) for k, c in enumerate(self._coeffs)])
 
-    def integrate(self, lower, upper):
-        """Definite integral with rational, symbolic-T, or running bounds.
-
-        Bounds may be rational numbers, MultiPoly values (e.g. the symbol T),
-        or the sentinel ``RUNNING`` (the string "x") for a running limit.  With
-        a running bound the result is again a UniPoly in x; otherwise it is a
-        MultiPoly.
-        """
-        g = self.antiderivative()
-
-        def at(bound):
-            if bound is RUNNING or (isinstance(bound, str) and bound == RUNNING):
-                return g
-            return g.eval_poly(as_multipoly(Fraction(bound) if isinstance(bound, (int, Fraction)) else bound))
-
-        hi, lo = at(upper), at(lower)
-        if isinstance(hi, UniPoly) or isinstance(lo, UniPoly):
-            hi = hi if isinstance(hi, UniPoly) else UniPoly.constant(hi)
-            lo = lo if isinstance(lo, UniPoly) else UniPoly.constant(lo)
-        return hi - lo
-
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -384,9 +357,6 @@ class UniPoly:
 
     def __hash__(self):
         return hash(self._coeffs)
-
-    def key(self):
-        return tuple(c.key() for c in self._coeffs)
 
     def __str__(self):
         if not self._coeffs:

@@ -15,15 +15,20 @@ a(f) the creation operator (prepend f) and a*(f) its adjoint,
 
 while disjoint cells contribute the constants p * int(f g1) (annihilated cell
 left of the next one) or q * int(f g1) (right of it), and a word of length
-one ends in the vacuum with the plain integral.  Everything stays exact:
+one ends in the vacuum with the plain integral.  This fold is written once,
+in ``FockEngine._fold``, from one antiderivative G of f g1: the same-cell
+ramp is h = (p - q) G + q G(hi) - p G(lo).  Everything stays exact:
 integrals of polynomial cells are again polynomial, with rational or
 symbolic-T bounds.
 
 The gauge (multiplication) operator acts on the first factor only; on the
 single symbolic interval [0, T] the truncated number operator is
 n = a*(chi) a(chi), with n Omega = T Omega, while the plain gauge m kills the
-vacuum.  Words over {a, a*, m, n} reproduce the ordered-partition weights,
-which is what the cross-verification suite exercises.
+vacuum.  ``gauge_n`` multiplies by the hand-derived closed-form ramp
+qT + (p - q) x instead of calling the fold, so comparing it with
+a*(chi) a(chi) checks the fold against code it does not share.  Words over
+{a, a*, m, n} reproduce the ordered-partition weights, which is what the
+cross-verification suite exercises.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, Q, RUNNING, T, UniPoly, ZERO, _bump, as_multipoly
+from .algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO, _bump, as_multipoly
 from .partitions import IntervalSignature, SetPartition
 
 POSITION_MOMENT_LIMIT = 10
@@ -56,9 +61,6 @@ class Interval:
     def hi_poly(self) -> MultiPoly:
         return T if self.hi is None else MultiPoly.constant(self.hi)
 
-    def length(self) -> MultiPoly:
-        return self.hi_poly() - self.lo_poly()
-
 
 @dataclass(frozen=True)
 class CellFunction:
@@ -66,9 +68,6 @@ class CellFunction:
 
     interval: int
     poly: UniPoly
-
-    def key(self):
-        return (self.interval, self.poly.key())
 
 
 class FockVector:
@@ -198,29 +197,31 @@ class FockEngine:
         """a*(f): pair the first factor against f through the ordering kernel."""
         cell = self._as_cell(f)
         i = cell.interval
-        iv = self.intervals[i]
-        lo, hi = iv.lo_poly(), iv.hi_poly()
         vac = ZERO
         out: dict = {}
         for word, c in v.terms.items():
-            first = word[0]
-            if first.interval != i:
-                continue  # disjoint supports: the overlap integral vanishes
-            integrand = first.poly * cell.poly
-            rest = word[1:]
-            if not rest:
-                vac = vac + c * integrand.integrate(lo, hi)
-                continue
-            nxt = rest[0]
-            if nxt.interval == i:
-                h = integrand.integrate(lo, RUNNING) * P + integrand.integrate(RUNNING, hi) * Q
-                merged = CellFunction(i, h * nxt.poly)
-                _bump(out, (merged,) + rest[1:], c)
-            elif nxt.interval > i:
-                _bump(out, rest, c * (P * integrand.integrate(lo, hi)))
-            else:
-                _bump(out, rest, c * (Q * integrand.integrate(lo, hi)))
+            if word[0].interval == i:  # otherwise disjoint supports: the overlap integral vanishes
+                vac = vac + self._fold(i, word[0].poly * cell.poly, word[1:], c, out)
         return FockVector(vac, out)
+
+    def _fold(self, i: int, integrand: UniPoly, word: tuple, c: MultiPoly, out: dict) -> MultiPoly:
+        """Fold the integral of ``integrand`` over cell i into the head of ``word``.
+
+        Bumps ``c`` times the folded word into ``out`` and returns the vacuum
+        amplitude, which is nonzero only for the empty word.
+        """
+        iv = self.intervals[i]
+        g = integrand.antiderivative()
+        g_lo, g_hi = g.eval_poly(iv.lo_poly()), g.eval_poly(iv.hi_poly())
+        if not word:
+            return c * (g_hi - g_lo)
+        head = word[0]
+        if head.interval == i:
+            ramp = g * (P - Q) + (Q * g_hi - P * g_lo)
+            _bump(out, (CellFunction(i, ramp * head.poly),) + word[1:], c)
+        else:
+            _bump(out, word, c * ((P if head.interval > i else Q) * (g_hi - g_lo)))
+        return ZERO
 
     def gauge(self, i: int, h: UniPoly, vacuum_factor=ZERO, v: FockVector = None) -> FockVector:
         """Multiplication by h on interval i, acting on the first factor.
@@ -239,32 +240,13 @@ class FockEngine:
         return FockVector(vac, out)
 
     def gauge_pair(self, f, g, v: FockVector) -> FockVector:
-        """M(f, g) = a*(g) a(f), realized directly as a piecewise gauge.
+        """M(f, g) = a*(g) a(f), a piecewise gauge.
 
         The multiplier is the kernel-weighted overlap of f and g: the linear
         ramp on their common interval, the constant p*<f,g> or q*<f,g> on
         intervals to the right or left, and the plain overlap on the vacuum.
         """
-        fc, gc = self._as_cell(f), self._as_cell(g)
-        if fc.interval != gc.interval:
-            return FockVector.zero()
-        i = fc.interval
-        iv = self.intervals[i]
-        lo, hi = iv.lo_poly(), iv.hi_poly()
-        integrand = fc.poly * gc.poly
-        full = integrand.integrate(lo, hi)
-        vac = v.vacuum * full
-        out: dict = {}
-        for word, c in v.terms.items():
-            first = word[0]
-            if first.interval == i:
-                h = integrand.integrate(lo, RUNNING) * P + integrand.integrate(RUNNING, hi) * Q
-                _bump(out, (CellFunction(i, h * first.poly),) + word[1:], c)
-            elif first.interval > i:
-                _bump(out, word, c * (P * full))
-            else:
-                _bump(out, word, c * (Q * full))
-        return FockVector(vac, out)
+        return self.annihilate(g, self.create(f, v))
 
     def gauge_m(self, v: FockVector) -> FockVector:
         """Plain gauge on [0, T]: identity on words, kills the vacuum."""

@@ -113,10 +113,6 @@ class NestingForest:
     def outer_count(self) -> int:
         return len(self.parent) - len(self.edges)
 
-    @property
-    def roots(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.parent) if p is None)
-
 
 def is_noncrossing(sp: SetPartition) -> bool:
     """Direct definitional check: no quadruple k < m < k' < m' across blocks."""

@@ -180,6 +180,7 @@ def test_byte_determinism(capsys):
         ["verify", "--order", "9"],
         ["nosuchcommand"],
         ["poisson", "--n", "9"],  # exceeds the general enumeration guard
+        ["brownian", "--signature", "f f g g " * 3, "--intervals", "g=[0,1],f=[1,2]"],  # 12 positions
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

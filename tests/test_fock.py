@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -194,6 +196,46 @@ def test_gauge_pair_vacuum_and_disjoint_behaviour():
     # acting on a word strictly to the right of the pair interval: factor p
     w = engine.create(1, unit)
     assert engine.gauge_pair(0, 0, w) == w.scale(P)
+
+
+# -- the kernel fold, against hand-computed values ------------------------------------------
+
+
+def test_annihilator_fold_goldens():
+    engine = FockEngine.brownian([(0, 1), (2, 3)])
+    chi0, chi1 = engine.indicator(0), engine.indicator(1)
+    x0 = CellFunction(0, UniPoly([ZERO, ONE]))
+    # head on a cell to the right picks up p, to the left q
+    assert engine.annihilate(0, FockVector(ZERO, {(chi0, chi1): ONE})) == FockVector(ZERO, {(chi1,): P})
+    assert engine.annihilate(1, FockVector(ZERO, {(chi1, chi0): ONE})) == FockVector(ZERO, {(chi0,): Q})
+    # same cell: p int_0^u x dx + q int_u^1 x dx = q/2 + (p - q)/2 u^2
+    folded = engine.annihilate(0, FockVector(ZERO, {(x0, chi0): ONE}))
+    ramp = CellFunction(0, UniPoly([Q / F(2), ZERO, (P - Q) / F(2)]))
+    assert folded == FockVector(ZERO, {(ramp,): ONE})
+    # the last factor folds into the vacuum: int_0^1 ramp = (p + 2q)/6
+    assert engine.annihilate(0, folded) == FockVector((P + Q * F(2)) / F(6), {})
+
+
+def _operator_engine_lines():
+    rng = random.Random(2007)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        lengths = tuple(F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(k))
+        assignment = tuple(rng.randrange(k) for _ in range(rng.randint(1, 8)))
+        yield str(position_moment(IntervalSignature(lengths, assignment)))
+    for n in range(1, 8):
+        yield str(poisson_moment_by_operators(n))
+    engine = FockEngine.poisson()
+    for length in range(1, 6):
+        for kinds in itertools.product(("a", "a*", "m", "n"), repeat=length):
+            yield str(engine.word_vacuum_moment(tuple((kind, 0) for kind in kinds)))
+
+
+def test_operator_engine_golden_digest():
+    # sha256 over seeded position moments (<= 8 positions), compound moments
+    # n <= 7 and all 1,364 {a, a*, m, n} words up to length 5
+    digest = hashlib.sha256("\n".join(_operator_engine_lines()).encode()).hexdigest()
+    assert digest == "aae0eae767626f467a96acad8fc847c0dc84eec5968bc1d75b7a53b75e5053b5"
 
 
 # -- compound moments by operators -------------------------------------------------------
