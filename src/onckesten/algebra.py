@@ -262,6 +262,17 @@ def _bump(acc: dict, key, coeff: MultiPoly):
         acc[key] = s
 
 
+def _check_size(what: str, n: int, limit: int, override_limits: bool):
+    """The one size guard of the exponential routes: n >= 1, and n <= limit unless overridden."""
+    if n < 1:
+        raise ValueError(f"{what}: n = {n} must be at least 1")
+    if n > limit and not override_limits:
+        raise ValueError(
+            f"{what}: n = {n} exceeds the limit {limit}; "
+            "pass override_limits=True (--override-limits) to go further"
+        )
+
+
 class UniPoly:
     """Polynomial in one coordinate x with MultiPoly coefficients.
 

@@ -336,10 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "grid", 2) < 2:
         parser.error("--grid must be at least 2")
-    if getattr(args, "n", 1) < 1 or getattr(args, "N", 1) < 1 or getattr(args, "nmax", 1) < 1:
-        parser.error("size arguments must be positive")
-    if getattr(args, "moment", 1) < 1:
-        parser.error("size arguments must be positive")
+    if getattr(args, "nmax", 1) < 1:
+        parser.error("--nmax must be at least 1")
     try:
         return args.fn(args, parser)
     except ValueError as exc:

@@ -22,8 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .algebra import MultiPoly, ONE, P, Q, ZERO, _bump
+from .algebra import MultiPoly, ONE, P, Q, ZERO, _bump, _check_size
 
+# moment order: clt_class_sums walks all ordered-Bell(n) order patterns,
+# 4,683 at n = 6 but 545,835 at n = 8
 CLT_MOMENT_LIMIT = 6
 
 Pattern = Tuple[int, ...]
@@ -98,10 +100,9 @@ def clt_class_sums(n: int) -> Tuple[MultiPoly, ...]:
 
 def clt_moment(N: int, n: int, override_limits: bool = False) -> MultiPoly:
     """phi(S_N^n) exactly: sum_r C(N, r) D_r / N^(n/2), zero for odd n."""
-    if n < 1 or N < 1:
-        raise ValueError("need n >= 1 and N >= 1")
-    if n > CLT_MOMENT_LIMIT and not override_limits:
-        raise ValueError(f"CLT moment limit is n = {CLT_MOMENT_LIMIT}; pass override_limits=True")
+    _check_size("CLT moment", n, CLT_MOMENT_LIMIT, override_limits)
+    if N < 1:
+        raise ValueError("need N >= 1")
     sums = clt_class_sums(n)
     total = ZERO
     for r, d in enumerate(sums, start=1):
@@ -119,7 +120,6 @@ def clt_leading_term(n: int, override_limits: bool = False) -> MultiPoly:
     """Limit of phi(S_N^n) as N grows: D_{n/2} / (n/2)! for even n, else zero."""
     if n % 2:
         return ZERO
-    if n > CLT_MOMENT_LIMIT and not override_limits:
-        raise ValueError(f"CLT moment limit is n = {CLT_MOMENT_LIMIT}; pass override_limits=True")
+    _check_size("CLT moment", n, CLT_MOMENT_LIMIT, override_limits)
     half = n // 2
     return clt_class_sums(n)[half - 1] / Fraction(math.factorial(half))

@@ -37,9 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO, _bump, as_multipoly
+from .algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO, _bump, _check_size, as_multipoly
 from .partitions import IntervalSignature, SetPartition
 
+# operator steps: each step rewrites every live word, so the running time
+# roughly doubles per extra factor of a position moment and nearly triples
+# per extra power of (a + a* + n + m)
 POSITION_MOMENT_LIMIT = 10
 POISSON_OPERATOR_LIMIT = 8
 
@@ -288,10 +291,7 @@ class FockEngine:
 
 def position_moment(sig: IntervalSignature, override_limits: bool = False) -> MultiPoly:
     """Vacuum moment of omega(f_1)...omega(f_n) along the signature."""
-    if sig.n > POSITION_MOMENT_LIMIT and not override_limits:
-        raise ValueError(
-            f"position moment limit is n = {POSITION_MOMENT_LIMIT}; pass override_limits=True"
-        )
+    _check_size("position moment", sig.n, POSITION_MOMENT_LIMIT, override_limits)
     engine = FockEngine.from_signature(sig)
     v = FockVector.unit()
     for rank in reversed(sig.assignment):
@@ -301,12 +301,7 @@ def position_moment(sig: IntervalSignature, override_limits: bool = False) -> Mu
 
 def poisson_moment_by_operators(n: int, override_limits: bool = False) -> MultiPoly:
     """Vacuum moment of (a + a* + n + m)^n on the symbolic interval."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > POISSON_OPERATOR_LIMIT and not override_limits:
-        raise ValueError(
-            f"operator compound-moment limit is n = {POISSON_OPERATOR_LIMIT}; pass override_limits=True"
-        )
+    _check_size("operator compound moment", n, POISSON_OPERATOR_LIMIT, override_limits)
     engine = FockEngine.poisson()
     v = FockVector.unit()
     for _ in range(n):

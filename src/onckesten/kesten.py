@@ -74,20 +74,18 @@ class KestenMeasure:
         Masses come from the residue of G at the denominator zero z0 with
         the principal branch of the square root; the pole sits strictly
         outside the support whenever p+q != 1, and the numerator kills it
-        unless p+q < 1.
+        unless p+q < 1.  There z0^2 = 2/(2-s), so on the branch in use
+        sqrt(z0^2 - 2s) = (1-s) z0 exactly: no float square root of a
+        difference that cancels as s -> 1.
         """
         s = self.s
         if s >= 1.0:
             return []
         z0 = 1.0 / math.sqrt(1.0 - s / 2.0)
-        num = (s - 1.0) * z0 - self._branch_sqrt_real(z0)
+        num = (s - 1.0) * z0 - (1.0 - s) * z0
         dden = -2.0 * (2.0 - s) * z0
         mass = num / dden
         return [(z0, mass), (-z0, mass)]
-
-    def _branch_sqrt_real(self, x: float) -> float:
-        # sqrt(x^2 - 2s) on the branch x*sqrt(1 - 2s/x^2), real for |x| > edge
-        return x * math.sqrt(1.0 - 2.0 * self.s / (x * x))
 
     # -- density and transform ----------------------------------------------------
 
@@ -121,14 +119,12 @@ class KestenMeasure:
     # -- quadrature ----------------------------------------------------------------
 
     def _integrand(self, theta: float, n: int) -> float:
-        s = self.s
-        x = self.edge * math.sin(theta)
-        if s == 1.0:
-            # the denominator cancels the cos^2 weight exactly: arcsine case
-            return x**n / math.pi
-        c = math.cos(theta)
-        den = 2.0 - (2.0 - s) * x * x
-        return x**n * (self.edge * self.edge) * c * c / (math.pi * den)
+        # with x = edge sin(theta), 2 - (2-s) x^2 = 2(cos^2 + (1-s)^2 sin^2):
+        # no cancellation near the edge as s -> 1, and the arcsine law at s = 1
+        sn, c = math.sin(theta), math.cos(theta)
+        x = self.edge * sn
+        den = 2.0 * (c * c + (1.0 - self.s) ** 2 * sn * sn)
+        return x**n / math.pi * (self.edge * self.edge) * c * c / den
 
     def quadrature_moment(self, n: int, tol: float = 1e-10) -> float:
         """n-th moment: adaptive quadrature of the density plus atom terms."""
@@ -151,17 +147,18 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, min_depth: int = 6) -> 
     Acceptance requires ``min_depth`` subdivisions: trigonometric-polynomial
     integrands can make the Richardson estimate vanish exactly on coarse
     symmetric panels (the sixth-moment integrand does, at the first split),
-    so early panels are never trusted.
+    so early panels are never trusted.  ``best`` is the composite Simpson sum
+    over the current panel frontier, the estimate a failure reports.
     """
     evals = 0
+    best = 0.0
 
     def ev(x: float) -> float:
         nonlocal evals
         evals += 1
         if evals > NODE_CAP:
             raise QuadratureError(
-                f"quadrature node cap {NODE_CAP} exceeded; best estimate {best[0]!r}",
-                best[0],
+                f"quadrature node cap {NODE_CAP} exceeded; best estimate {best!r}", best
             )
         return f(x)
 
@@ -170,19 +167,17 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, min_depth: int = 6) -> 
         f1 = ev(x1)
         return x1, f1, (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
 
-    best = [0.0]
-
     def recurse(x0, f0, x2, f2, whole, x1, f1, tol_here, depth):
+        nonlocal best
         lm, flm, left = simpson(x0, f0, x1, f1)
         rm, frm, right = simpson(x1, f1, x2, f2)
         err = (left + right - whole) / 15.0
         if depth >= min_depth and abs(err) <= tol_here:
             return left + right + err
+        best += left + right - whole
         if depth > 60:
             raise QuadratureError(
-                f"tolerance not reached at recursion depth {depth}; "
-                f"local estimate {left + right + err!r}",
-                left + right + err,
+                f"tolerance not reached at recursion depth {depth}; best estimate {best!r}", best
             )
         half = tol_here / 2.0
         return recurse(x0, f0, x1, f1, left, lm, flm, half, depth + 1) + recurse(
@@ -191,5 +186,5 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, min_depth: int = 6) -> 
 
     fa, fb = ev(a), ev(b)
     mid, fmid, whole = simpson(a, fa, b, fb)
-    best[0] = whole
+    best = whole
     return recurse(a, fa, b, fb, whole, mid, fmid, tol, 0)

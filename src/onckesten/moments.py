@@ -38,12 +38,12 @@ from itertools import chain, permutations, product
 from math import comb, factorial, prod
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, PowerSeries, Q, ZERO
+from .algebra import MultiPoly, ONE, P, PowerSeries, Q, ZERO, _check_size
 from .partitions import (
+    GENERAL_ENUM_LIMIT,
     PAIR_ENUM_LIMIT,
     IntervalSignature,
     SetPartition,
-    _check_limit,
     _nc_pairings,
     _set_partitions,
     is_noncrossing,
@@ -105,9 +105,7 @@ def _coloring_sum(bases: Iterable) -> MultiPoly:
 
 def _pair_sum(n: int, override_limits: bool, covered_only: bool = False) -> MultiPoly:
     """Weight sum over ordered (covered) non-crossing pair partitions of [2n]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_limit(2 * n, True, override_limits)
+    _check_size("pair enumeration", 2 * n, PAIR_ENUM_LIMIT, override_limits)
     bases = (SetPartition(2 * n, blocks) for blocks in _nc_pairings(tuple(range(1, 2 * n + 1))))
     forests = (nesting_forest(sp).edges for sp in bases if not covered_only or sp.is_covered)
     return _coloring_sum((edges, _coloring_histogram(edges, n), 1, 0) for edges in forests)
@@ -431,11 +429,9 @@ def mixed_moment_brownian(sig: IntervalSignature, override_limits: bool = False)
     multiplicities.
     """
     n = sig.n
-    if n < 1:
-        raise ValueError("signature must cover at least one position")
     if n % 2:
         return ZERO
-    _check_limit(n, True, override_limits)
+    _check_size("pair enumeration", n, PAIR_ENUM_LIMIT, override_limits)
     if sig.pair_multiplicities() is None:
         return ZERO
     bases = (_adapted_base(blocks, sig) for blocks in _nc_pairings(tuple(range(1, n + 1))))
@@ -485,9 +481,7 @@ def poisson_moment(n: int, override_limits: bool = False) -> MultiPoly:
     Sums T^b(P) w(P) / b(P)! over all ordered non-crossing partitions of [n]
     (all block sizes, singletons included).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_limit(n, False, override_limits)
+    _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
 
     def bases():
         for blocks in _set_partitions(n):

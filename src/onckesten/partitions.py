@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, _check_size
 
 # positions, not blocks: pair enumeration handles [2n] up to 14 by default,
 # general partitions up to n = 8 (Bell(8) = 4140 bases before filtering)
@@ -214,25 +214,15 @@ def _set_partitions(n: int) -> Iterator[tuple]:
     yield from rec(1)
 
 
-def _check_limit(n: int, pair_only: bool, override_limits: bool):
-    limit = PAIR_ENUM_LIMIT if pair_only else GENERAL_ENUM_LIMIT
-    if n > limit and not override_limits:
-        kind = "pair" if pair_only else "general"
-        raise ValueError(
-            f"{kind} enumeration limit is n = {limit}; pass override_limits=True to go further"
-        )
-
-
 def enumerate_nc(n: int, pair_only: bool = False, override_limits: bool = False) -> Iterator[SetPartition]:
     """Non-crossing (pair) partitions of [n] in canonical order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_limit(n, pair_only, override_limits)
     if pair_only:
+        _check_size("pair enumeration", n, PAIR_ENUM_LIMIT, override_limits)
         if n % 2:
             return
         found = [SetPartition(n, blocks) for blocks in _nc_pairings(tuple(range(1, n + 1)))]
     else:
+        _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
         found = [
             SetPartition(n, blocks)
             for blocks in _set_partitions(n)

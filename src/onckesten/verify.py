@@ -25,6 +25,7 @@ from .algebra import MultiPoly, ONE, P, Q, T, ZERO
 from .kesten import KestenMeasure
 from .moments import ROUTE_NAMES, catalan, sequences_by_recursion
 from .partitions import (
+    PAIR_ENUM_LIMIT,
     IntervalSignature,
     OrderedPartition,
     SetPartition,
@@ -439,8 +440,9 @@ def paper_errata() -> Tuple[ErrataEntry, ...]:
 
 def run_all(order: int = DEFAULT_ORDER, seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run every check in order, stopping at the first failure."""
-    if not 1 <= order <= 7:
-        raise ValueError("verification order must be between 1 and 7")
+    # route agreement runs the enumeration route at every order up to this one
+    if not 1 <= order <= PAIR_ENUM_LIMIT // 2:
+        raise ValueError(f"verification order must be between 1 and {PAIR_ENUM_LIMIT // 2}")
     rng = random.Random(seed)
     results: List[CheckResult] = []
     for name, fn in _CHECKS:

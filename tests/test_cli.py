@@ -113,6 +113,12 @@ def test_quadcheck_passes_and_fails_by_tolerance(capsys):
     assert code == 1 and doc["ok"] is False
 
 
+def test_quadcheck_near_critical_ray(capsys):
+    # p + q = 1 - 1e-6: the integrand's denominator nearly vanishes at the edge
+    code, doc = run_json(capsys, "quadcheck", "--p", "1/2", "--q", "499999/1000000", "--nmax", "12")
+    assert code == 0 and doc["ok"] is True and len(doc["rows"]) == 12
+
+
 def test_density_sections_with_atoms(capsys):
     code, out = run_cli(capsys, "density", "--p", "3/10", "--q", "1/5", "--grid", "5")
     assert code == 0
@@ -123,6 +129,16 @@ def test_density_sections_with_atoms(capsys):
     assert xs[0] == -1.0 and xs[-1] == 1.0  # edge = sqrt(2 * 1/2)
     alines = atom_part.splitlines()
     assert alines[0] == "atom,mass" and len(alines) == 3
+
+
+def test_density_near_critical_atoms(capsys):
+    # p + q = 1 - 1e-9: the atoms sit just outside the edge with mass ~ 1e-9
+    code, out = run_cli(capsys, "density", "--p", "1/2", "--q", "499999999/1000000000", "--grid", "5")
+    assert code == 0
+    alines = out.split("\n\n")[1].splitlines()
+    assert alines[0] == "atom,mass" and len(alines) == 3
+    masses = [float(line.split(",")[1]) for line in alines[1:]]
+    assert all(abs(m - 1e-9) < 1e-12 for m in masses)
 
 
 def test_density_no_atoms_above_unit_weight(capsys):
@@ -181,13 +197,25 @@ def test_byte_determinism(capsys):
         ["nosuchcommand"],
         ["poisson", "--n", "9"],  # exceeds the general enumeration guard
         ["brownian", "--signature", "f f g g " * 3, "--intervals", "g=[0,1],f=[1,2]"],  # 12 positions
+        ["enumerate", "--n", "0"],
+        ["poisson", "--n", "0"],
+        ["clt", "--N", "0", "--moment", "4"],
+        ["clt", "--N", "10", "--moment", "0"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
+
+
+def test_size_guard_names_the_override_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["clt", "--N", "10", "--moment", "8"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "n = 8 exceeds the limit 6" in err and "--override-limits" in err
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 from onckesten.algebra import MultiPoly, ONE, P, Q, ZERO
 from onckesten.discrete import (
+    CLT_MOMENT_LIMIT,
     clt_class_sums,
     clt_leading_term,
     clt_moment,
@@ -109,10 +110,12 @@ def test_convergence_rate_at_rational_parameters():
 
 
 def test_limit_guards():
-    with pytest.raises(ValueError):
-        clt_moment(10, 8)
-    with pytest.raises(ValueError):
-        clt_moment(0, 2)
-    with pytest.raises(ValueError):
-        clt_leading_term(8)
+    for N, n in ((10, 0), (10, CLT_MOMENT_LIMIT + 1), (10, CLT_MOMENT_LIMIT + 2), (0, 2)):
+        with pytest.raises(ValueError):
+            clt_moment(N, n)
+    for n in (-2, 0, CLT_MOMENT_LIMIT + 2):
+        with pytest.raises(ValueError):
+            clt_leading_term(n)
+    # odd orders are zero before any size check
+    assert clt_leading_term(CLT_MOMENT_LIMIT + 1) == ZERO
     assert clt_leading_term(8, override_limits=True) == sequences_by_recursion(4).r[4]

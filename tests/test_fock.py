@@ -12,6 +12,8 @@ import pytest
 import oracles
 from onckesten.algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO
 from onckesten.fock import (
+    POISSON_OPERATOR_LIMIT,
+    POSITION_MOMENT_LIMIT,
     CellFunction,
     FockEngine,
     FockVector,
@@ -78,8 +80,9 @@ def test_position_moment_volume_scaling():
 
 
 def test_position_moment_limit_guard():
-    with pytest.raises(ValueError):
-        position_moment(IntervalSignature.single(12))
+    for n in (0, POSITION_MOMENT_LIMIT + 1, POSITION_MOMENT_LIMIT + 2):
+        with pytest.raises(ValueError):
+            position_moment(IntervalSignature.single(n))
     got = position_moment(IntervalSignature.single(12), override_limits=True)
     assert got == sequences_by_recursion(6).r[6]
 
@@ -153,15 +156,24 @@ def _random_vector(engine: FockEngine, rng: random.Random, symbolic: bool) -> Fo
     return v
 
 
-def test_gauge_pair_is_annihilate_after_create():
+def test_gauge_pair_of_indicator_is_piecewise_gauge():
+    # reference sharing no code with the fold: the ramp (p-q)x + q*hi - p*lo
+    # on cell i through `gauge`, p*lambda_i (q*lambda_i) on words that start
+    # right (left) of cell i, lambda_i on the vacuum
     engine = FockEngine.brownian([(0, 1), (2, F(7, 2))])
     rng = random.Random(11)
     for _ in range(20):
         v = _random_vector(engine, rng, symbolic=False)
-        fi, gi = rng.randrange(2), rng.randrange(2)
-        f = CellFunction(fi, UniPoly([rand := MultiPoly.constant(F(rng.randint(-2, 2))), ONE][: rng.randint(1, 2)] or [ONE]))
-        g = CellFunction(gi, UniPoly([ONE, MultiPoly.constant(F(rng.randint(-2, 2)))]))
-        assert engine.gauge_pair(f, g, v) == engine.annihilate(g, engine.create(f, v))
+        for i, iv in enumerate(engine.intervals):
+            lam = MultiPoly.constant(iv.hi - iv.lo)
+            ramp = UniPoly([Q * iv.hi - P * iv.lo, P - Q])
+            outside = {
+                w: c * (P if w[0].interval > i else Q) * lam
+                for w, c in v.terms.items()
+                if w[0].interval != i
+            }
+            want = engine.gauge(i, ramp, lam, v).add(FockVector(ZERO, outside))
+            assert engine.gauge_pair(i, i, v) == want
 
 
 def test_truncated_number_operator_is_pair_gauge_of_indicator():
@@ -171,7 +183,6 @@ def test_truncated_number_operator_is_pair_gauge_of_indicator():
     for _ in range(20):
         v = _random_vector(engine, rng, symbolic=True)
         assert engine.gauge_n(v) == engine.annihilate(chi, engine.create(chi, v))
-        assert engine.gauge_n(v) == engine.gauge_pair(chi, chi, v)
 
 
 def test_gauge_composes_into_annihilation_and_creation():
@@ -250,10 +261,9 @@ def test_poisson_operator_route_low_orders():
 
 
 def test_poisson_operator_route_guards():
-    with pytest.raises(ValueError):
-        poisson_moment_by_operators(0)
-    with pytest.raises(ValueError):
-        poisson_moment_by_operators(9)
+    for n in (0, POISSON_OPERATOR_LIMIT + 1):
+        with pytest.raises(ValueError):
+            poisson_moment_by_operators(n)
 
 
 # -- partitions and operator words -------------------------------------------------------

@@ -133,4 +133,4 @@ def test_quadrature_error_carries_estimate():
     with pytest.raises(QuadratureError) as info:
         mu.quadrature_moment(6, tol=1e-300)
     assert isinstance(info.value.estimate, float)
-    assert math.isfinite(info.value.estimate)
+    assert abs(info.value.estimate - 5.0) < 0.5  # the sixth moment at p = q = 1 is 5

@@ -29,7 +29,7 @@ from onckesten.moments import (
     series_identity_checks,
     word_moment_by_enumeration,
 )
-from onckesten.partitions import IntervalSignature
+from onckesten.partitions import GENERAL_ENUM_LIMIT, PAIR_ENUM_LIMIT, IntervalSignature
 
 F = Fraction
 
@@ -127,10 +127,18 @@ def test_enumeration_goldens_at_the_default_limits(compute, golden):
 
 
 def test_enumeration_limit_guard():
-    with pytest.raises(ValueError):
-        r_by_enumeration(8)
-    with pytest.raises(ValueError):
-        poisson_moment(9)
+    for compute in (r_by_enumeration, covered_weight_sum, gen_euler_histogram):
+        for n in (0, PAIR_ENUM_LIMIT // 2 + 1):
+            with pytest.raises(ValueError):
+                compute(n)
+    for n in (0, GENERAL_ENUM_LIMIT + 1):
+        with pytest.raises(ValueError):
+            poisson_moment(n)
+    for n in (0, PAIR_ENUM_LIMIT + 2):
+        with pytest.raises(ValueError):
+            mixed_moment_brownian(IntervalSignature.single(n))
+    # odd length is zero before any size check
+    assert mixed_moment_brownian(IntervalSignature.single(PAIR_ENUM_LIMIT + 1)) == ZERO
 
 
 def test_sequences_frozen_values():

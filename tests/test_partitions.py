@@ -178,10 +178,14 @@ def test_covered_and_outer_block_filters():
 
 
 def test_enumeration_limits_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"n = {PAIR_ENUM_LIMIT + 2} exceeds the limit {PAIR_ENUM_LIMIT}; pass override_limits"):
         next(enumerate_nc(PAIR_ENUM_LIMIT + 2, pair_only=True))
-    with pytest.raises(ValueError):
-        next(enumerate_nc(GENERAL_ENUM_LIMIT + 1))
+    for n in (0, PAIR_ENUM_LIMIT + 1):
+        with pytest.raises(ValueError):
+            next(enumerate_nc(n, pair_only=True))
+    for n in (0, GENERAL_ENUM_LIMIT + 1):
+        with pytest.raises(ValueError):
+            next(enumerate_nc(n))
     # the pair enumerator may go further when explicitly overridden
     first = next(enumerate_nc(PAIR_ENUM_LIMIT + 2, pair_only=True, override_limits=True))
     assert first.block_count == (PAIR_ENUM_LIMIT + 2) // 2
