@@ -115,6 +115,8 @@ class MultiPoly:
         other = as_multipoly(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self._terms:  # accumulations start at ZERO; values are immutable
+            return other
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c

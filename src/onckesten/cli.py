@@ -121,14 +121,8 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.ok else 1
 
 
-def _measure(p: Fraction, q: Fraction) -> KestenMeasure:
-    if p + q == 0:
-        return KestenMeasure.boolean_limit()
-    return KestenMeasure(float(p), float(q))
-
-
 def _cmd_density(args, parser) -> int:
-    mu = _measure(args.p, args.q)
+    mu = KestenMeasure(args.p, args.q)
     print("x,density")
     if mu.edge > 0:
         steps = args.grid - 1
@@ -143,7 +137,7 @@ def _cmd_density(args, parser) -> int:
 
 
 def _cmd_quadcheck(args, parser) -> int:
-    mu = _measure(args.p, args.q)
+    mu = KestenMeasure(args.p, args.q)
     table = moments.sequences_by_recursion(max(1, (args.nmax + 1) // 2))
     rows = []
     ok = True
@@ -273,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Named identity checks (stopping at the first failure) plus the "
         "paper_errata section; exit 1 unless everything passes.",
     )
-    p_ver.add_argument("--order", type=int, default=verify_mod.DEFAULT_ORDER, help="moment order for the agreement checks (1..7)")
+    p_ver.add_argument("--order", type=int, default=verify_mod.DEFAULT_ORDER, help=f"moment order for the agreement checks (1..{verify_mod.MAX_ORDER})")
     p_ver.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED, help="seed for the randomized signatures")
     p_ver.set_defaults(fn=_cmd_verify)
 

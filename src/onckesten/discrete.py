@@ -94,6 +94,9 @@ def clt_class_sums(n: int) -> Tuple[MultiPoly, ...]:
     sums = [ZERO] * n
     for pattern in order_patterns(n):
         r = max(pattern) + 1
+        # a letter used an odd number of times is never fully annihilated: moment 0
+        if any(pattern.count(v) % 2 for v in range(r)):
+            continue
         sums[r - 1] = sums[r - 1] + discrete_word_moment(pattern)
     return tuple(sums)
 

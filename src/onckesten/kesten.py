@@ -1,6 +1,6 @@
 """Kesten-type limit measure: density, atoms, Cauchy transform, quadrature.
 
-For parameters p, q >= 0 with s = p+q > 0 the limit law of the interpolating
+For parameters p, q >= 0, with s = p+q, the limit law of the interpolating
 central limit has absolutely continuous part
 
     f(x) = (1/pi) * sqrt(2s - x^2) / (2 - (2-s) x^2)   on |x| <= sqrt(2s),
@@ -19,9 +19,9 @@ is cross-checked against the exact moment polynomials.  Numeric moments are
 computed with the substitution x = edge * sin(theta) (which absorbs the
 square-root edge singularity) followed by adaptive Simpson refinement.
 
-The ray s -> 0 degenerates to the symmetric Bernoulli law with atoms +-1 of
-mass 1/2; it is reachable only through the explicit ``boolean_limit``
-constructor.
+The same formulas cover the boolean point s = 0: the support shrinks to
+{0}, the density and the quadrature integrand vanish, and the atoms sit at
++-1 with mass 1/2, the symmetric Bernoulli law.
 """
 
 from __future__ import annotations
@@ -41,21 +41,20 @@ class QuadratureError(RuntimeError):
 
 
 class KestenMeasure:
-    """Two-parameter Kesten-type measure with float parameters."""
+    """Two-parameter Kesten-type measure; p and q become floats here, once."""
 
-    def __init__(self, p: float, q: float, *, _allow_degenerate: bool = False):
-        p, q = float(p), float(q)
+    def __init__(self, p: float, q: float):
+        try:
+            p, q = float(p), float(q)
+            finite = math.isfinite(p + q)
+        except OverflowError:  # an exact rational beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError("p and q must be finite and within the float range")
         if p < 0 or q < 0:
             raise ValueError("p and q must be nonnegative")
-        if p + q <= 0 and not _allow_degenerate:
-            raise ValueError("p + q must be positive; use boolean_limit() for the degenerate ray")
         self.p = p
         self.q = q
-
-    @classmethod
-    def boolean_limit(cls) -> "KestenMeasure":
-        """The p = q = 0 limit: atoms at +-1 with mass 1/2 each."""
-        return cls(0.0, 0.0, _allow_degenerate=True)
 
     @property
     def s(self) -> float:
@@ -92,8 +91,6 @@ class KestenMeasure:
     def density(self, x: float) -> float:
         """Absolutely continuous density at x; zero at and beyond the edge."""
         s = self.s
-        if s == 0.0:
-            return 0.0
         x = float(x)
         if abs(x) >= self.edge:
             return 0.0
@@ -106,7 +103,7 @@ class KestenMeasure:
     def cauchy(self, z: complex) -> complex:
         """Cauchy transform G(z); rejects points on the support cut."""
         z = complex(z)
-        if z.imag == 0.0 and abs(z.real) <= self.edge and self.s > 0.0:
+        if z.imag == 0.0 and abs(z.real) <= self.edge:
             raise ValueError("Cauchy transform evaluated on the support cut")
         s = self.s
         w = z * cmath.sqrt(1.0 - 2.0 * s / (z * z))
@@ -131,8 +128,6 @@ class KestenMeasure:
         if n < 0:
             raise ValueError("moment index must be >= 0")
         total = sum(mass * pos**n for pos, mass in self.atoms())
-        if self.s == 0.0:
-            return total
         f = lambda th: self._integrand(th, n)
         total += _adaptive_simpson(f, -math.pi / 2.0, math.pi / 2.0, tol)
         return total

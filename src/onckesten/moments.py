@@ -105,7 +105,7 @@ def _coloring_sum(bases: Iterable) -> MultiPoly:
 
 def _pair_sum(n: int, override_limits: bool, covered_only: bool = False) -> MultiPoly:
     """Weight sum over ordered (covered) non-crossing pair partitions of [2n]."""
-    _check_size("pair enumeration", 2 * n, PAIR_ENUM_LIMIT, override_limits)
+    _check_size("pair enumeration of [2n]", n, PAIR_ENUM_LIMIT // 2, override_limits)
     bases = (SetPartition(2 * n, blocks) for blocks in _nc_pairings(tuple(range(1, 2 * n + 1))))
     forests = (nesting_forest(sp).edges for sp in bases if not covered_only or sp.is_covered)
     return _coloring_sum((edges, _coloring_histogram(edges, n), 1, 0) for edges in forests)
@@ -151,40 +151,23 @@ class SequenceTable:
 def sequences_by_recursion(order: int, r_max: int = 3) -> SequenceTable:
     """Fill s_n^(r), a_n and r_n from the removal recursion on the top block.
 
-    For n >= r+1:
+    For every r >= 1 and n >= r:
 
       s_n^(r) = (r/n) * sum_{k=1}^{n-r+1} a_{k-1} s_{n-k}^(r-1)
               + (q/n) * sum_{k=1}^{n-r} (2n-2k-r) a_{k-1} s_{n-k}^(r)
 
-    with s_r^(r) = 1 and s_n^(r) = 0 for n < r, alongside a_n = p * sum_k
-    s_k a_{n-k} and r_n = sum_k s_k r_{n-k}.
+    with row 0 = (1, 0, 0, ...) and s_n^(r) = 0 for n < r; at n = r it gives
+    s_r^(r) = 1.  Alongside, a_n = p * sum_k s_k a_{n-k} and r_n = sum_k
+    s_k r_{n-k}.
     """
     if order < 0 or r_max < 1:
         raise ValueError("order must be >= 0 and r_max >= 1")
-    n_top = order
-    row0 = [ONE] + [ZERO] * n_top
-    s1 = [ZERO] * (n_top + 1)
-    a = [ONE] + [ZERO] * n_top
-    for n in range(1, n_top + 1):
-        if n == 1:
-            s1[1] = ONE
-        else:
-            total = a[n - 1] / n
-            qpart = ZERO
-            for k in range(1, n):
-                qpart = qpart + a[k - 1] * s1[n - k] * (2 * n - 2 * k - 1)
-            s1[n] = total + Q * qpart / n
-        acc = ZERO
-        for k in range(1, n + 1):
-            acc = acc + s1[k] * a[n - k]
-        a[n] = P * acc
-    rows = [tuple(row0), tuple(s1)]
-    for r in range(2, r_max + 1):
-        row = [ZERO] * (n_top + 1)
-        if r <= n_top:
-            row[r] = ONE
-        prev = rows[r - 1]
-        for n in range(r + 1, n_top + 1):
+    rows = [[ONE] + [ZERO] * order] + [[ZERO] * (order + 1) for _ in range(r_max)]
+    s1 = rows[1]
+    a, rser = [ONE] + [ZERO] * order, [ONE] + [ZERO] * order
+    for n in range(1, order + 1):
+        for r in range(1, min(n, r_max) + 1):
+            prev, row = rows[r - 1], rows[r]
             first = ZERO
             for k in range(1, n - r + 2):
                 first = first + a[k - 1] * prev[n - k]
@@ -192,20 +175,19 @@ def sequences_by_recursion(order: int, r_max: int = 3) -> SequenceTable:
             for k in range(1, n - r + 1):
                 second = second + a[k - 1] * row[n - k] * (2 * n - 2 * k - r)
             row[n] = first * Fraction(r, n) + Q * second / n
-        rows.append(tuple(row))
-    rser = [ONE] + [ZERO] * n_top
-    for n in range(1, n_top + 1):
-        acc = ZERO
+        a_acc = r_acc = ZERO
         for k in range(1, n + 1):
-            acc = acc + s1[k] * rser[n - k]
-        rser[n] = acc
+            a_acc = a_acc + s1[k] * a[n - k]
+            r_acc = r_acc + s1[k] * rser[n - k]
+        a[n] = P * a_acc
+        rser[n] = r_acc
     return SequenceTable(
         order=order,
         r_max=r_max,
         r=tuple(rser),
         s=tuple(s1),
         a=tuple(a),
-        s_rows=tuple(rows),
+        s_rows=tuple(map(tuple, rows)),
     )
 
 
@@ -324,21 +306,17 @@ def gen_euler_histogram(n: int, override_limits: bool = False) -> dict:
     return {(e, ep): int(c) for (e, ep, _), c in _pair_sum(n, override_limits).items()}
 
 
-def gen_euler(n: int, k: int, j: int, route: str = "formula", override_limits: bool = False) -> Fraction:
+def gen_euler(n: int, k: int, j: int) -> Fraction:
     """Generalized Euler number E(n,k,j): ordered pair partitions of [2n]
     with k disorders and j orders.
 
-    The closed form (n!/2^(k+j)) * C(k+j, k) * D(n, k+j) and the direct count
-    are exposed as separate routes; they must agree, and the rows sum to
+    The closed form (n!/2^(k+j)) * C(k+j, k) * D(n, k+j); the direct count
+    is ``gen_euler_histogram(n)``.  They must agree, and the rows sum to
     n! * Catalan(n).
     """
-    if route == "formula":
-        if n < 1 or k < 0 or j < 0 or k + j > n - 1:
-            return Fraction(0)
-        return Fraction(factorial(n), 2 ** (k + j)) * comb(k + j, k) * delaney(n, k + j)
-    if route == "enumeration":
-        return Fraction(gen_euler_histogram(n, override_limits).get((k, j), 0))
-    raise ValueError(f"unknown gen_euler route: {route!r}")
+    if n < 1 or k < 0 or j < 0 or k + j > n - 1:
+        return Fraction(0)
+    return Fraction(factorial(n), 2 ** (k + j)) * comb(k + j, k) * delaney(n, k + j)
 
 
 # -- series identities ------------------------------------------------------------
@@ -560,7 +538,7 @@ def moment_report(n: int, route: str = "all", override_limits: bool = False) -> 
     if route != "all" and route not in ROUTE_NAMES:
         raise ValueError(f"unknown route {route!r}")
     wanted = list(ROUTE_NAMES) if route == "all" else [route]
-    if route == "all" and 2 * n > PAIR_ENUM_LIMIT and not override_limits:
+    if route == "all" and n > PAIR_ENUM_LIMIT // 2 and not override_limits:
         wanted.remove("enum")
     routes = {name: _ROUTES[name](n, override_limits) for name in wanted}
     vals = list(routes.values())

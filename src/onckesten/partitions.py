@@ -114,21 +114,6 @@ class NestingForest:
         return len(self.parent) - len(self.edges)
 
 
-def is_noncrossing(sp: SetPartition) -> bool:
-    """Direct definitional check: no quadruple k < m < k' < m' across blocks."""
-    bl = sp.blocks
-    for i in range(len(bl)):
-        for j in range(i + 1, len(bl)):
-            merged = sorted([(x, 0) for x in bl[i]] + [(x, 1) for x in bl[j]])
-            runs = 1
-            for a, b in zip(merged, merged[1:]):
-                if a[1] != b[1]:
-                    runs += 1
-            if runs >= 4:
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def nesting_forest(sp: SetPartition) -> NestingForest:
     """Parent of each block = innermost block still open when it starts.
@@ -159,6 +144,15 @@ def nesting_forest(sp: SetPartition) -> NestingForest:
             stack.pop()
     edges = tuple((parent[c], c) for c in range(k) if parent[c] is not None)
     return NestingForest(parent=tuple(parent), edges=edges)
+
+
+def is_noncrossing(sp: SetPartition) -> bool:
+    """No quadruple k < m < k' < m' across blocks: the nesting sweep completes."""
+    try:
+        nesting_forest(sp)
+    except ValueError:
+        return False
+    return True
 
 
 def disorder_order_counts(op: OrderedPartition) -> tuple:
@@ -235,21 +229,14 @@ def enumerate_nc(n: int, pair_only: bool = False, override_limits: bool = False)
 def enumerate_ordered(
     n: int,
     pair_only: bool = False,
-    covered_only: bool = False,
     outer_blocks: Optional[int] = None,
     override_limits: bool = False,
 ) -> Iterator[OrderedPartition]:
     """Ordered non-crossing partitions: every coloring of every base.
 
-    ``covered_only`` keeps bases where 1 and n share a block; ``outer_blocks``
-    keeps bases with exactly that many nesting roots.  A covered partition has
-    exactly one outer block, so contradictory filters yield an empty stream.
+    ``outer_blocks`` keeps bases with exactly that many nesting roots.
     """
-    if covered_only and outer_blocks not in (None, 1):
-        return
     for sp in enumerate_nc(n, pair_only=pair_only, override_limits=override_limits):
-        if covered_only and not sp.is_covered:
-            continue
         if outer_blocks is not None and nesting_forest(sp).outer_count != outer_blocks:
             continue
         for perm in permutations(range(sp.block_count)):

@@ -37,6 +37,8 @@ from .partitions import (
 )
 
 DEFAULT_ORDER = 6
+# route agreement runs the enumeration route at every order up to this one
+MAX_ORDER = PAIR_ENUM_LIMIT // 2
 DEFAULT_SEED = 7
 
 
@@ -193,7 +195,7 @@ def _check_gen_euler(order: int, rng) -> Tuple[bool, str]:
             return False, f"n={n}: histogram total {total} != n! * Catalan"
         for k in range(n):
             for j in range(n - k):
-                formula = moments.gen_euler(n, k, j, route="formula")
+                formula = moments.gen_euler(n, k, j)
                 counted = Fraction(hist.get((k, j), 0))
                 if formula != counted:
                     return False, f"E({n},{k},{j}): formula {formula} != count {counted}"
@@ -343,7 +345,7 @@ _KESTEN_POINTS = (
 def _check_kesten(order: int, rng) -> Tuple[bool, str]:
     table = sequences_by_recursion(5)
     for pv, qv in _KESTEN_POINTS:
-        mu = KestenMeasure(float(pv), float(qv))
+        mu = KestenMeasure(pv, qv)
         s = float(pv + qv)
         if abs(mu.total_mass() - 1.0) > 1e-10:
             return False, f"({pv},{qv}): total mass {mu.total_mass()!r} is not 1"
@@ -369,7 +371,7 @@ def _check_kesten(order: int, rng) -> Tuple[bool, str]:
         for re_z, im_z in ((-2.0, 0.1), (0.0, 1.0), (1.5, 0.5), (3.0, 10.0)):
             if mu.cauchy(complex(re_z, im_z)).imag > 1e-15:
                 return False, f"({pv},{qv}): G maps {re_z}+{im_z}i out of the lower half plane"
-    boolean = KestenMeasure.boolean_limit()
+    boolean = KestenMeasure(0, 0)
     atoms = boolean.atoms()
     if len(atoms) != 2 or abs(atoms[0][0] - 1.0) > 1e-10 or abs(atoms[0][1] - 0.5) > 1e-10:
         return False, f"boolean limit atoms {atoms} are not +-1 with mass 1/2"
@@ -440,9 +442,8 @@ def paper_errata() -> Tuple[ErrataEntry, ...]:
 
 def run_all(order: int = DEFAULT_ORDER, seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run every check in order, stopping at the first failure."""
-    # route agreement runs the enumeration route at every order up to this one
-    if not 1 <= order <= PAIR_ENUM_LIMIT // 2:
-        raise ValueError(f"verification order must be between 1 and {PAIR_ENUM_LIMIT // 2}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"verification order must be between 1 and {MAX_ORDER}")
     rng = random.Random(seed)
     results: List[CheckResult] = []
     for name, fn in _CHECKS:

@@ -152,7 +152,7 @@ def test_criterion_06_generalized_euler_numbers():
             assert sum(hist.values()) == math.factorial(n) * catalan(n)
             for k in range(n):
                 for j in range(n):
-                    formula = gen_euler(n, k, j, route="formula")
+                    formula = gen_euler(n, k, j)
                     assert formula == hist.get((k, j), 0), (n, k, j)
 
 
@@ -214,7 +214,7 @@ def test_criterion_09_quadrature_and_analytics():
                 x = frac * mu.edge
                 assert abs(mu.stieltjes_density(x) - mu.density(x)) <= 1e-4, (p, q, x)
         assert saw_atoms, "no atomic measure among the sample points"
-        boolean = KestenMeasure.boolean_limit()
+        boolean = KestenMeasure(0, 0)
         atoms = dict(boolean.atoms())
         assert abs(atoms[1.0] - 0.5) <= 1e-10 and abs(atoms[-1.0] - 0.5) <= 1e-10
 

@@ -148,12 +148,14 @@ def test_density_no_atoms_above_unit_weight(capsys):
 
 
 def test_density_boolean_limit_is_purely_atomic(capsys):
-    code, out = run_cli(capsys, "density", "--p", "0", "--q", "0")
-    assert code == 0
-    density_part, atom_part = out.split("\n\n")
-    assert density_part.splitlines() == ["x,density"]
-    alines = atom_part.splitlines()
-    assert len(alines) == 3 and alines[1].endswith(",0.5") and alines[2].endswith(",0.5")
+    # p = 1e-400 rounds to the float 0.0: the same boolean point
+    for p in ("0", "1e-400"):
+        code, out = run_cli(capsys, "density", "--p", p, "--q", "0")
+        assert code == 0
+        density_part, atom_part = out.split("\n\n")
+        assert density_part.splitlines() == ["x,density"]
+        alines = atom_part.splitlines()
+        assert len(alines) == 3 and alines[1].endswith(",0.5") and alines[2].endswith(",0.5")
 
 
 def test_verify_report(capsys):
@@ -201,6 +203,8 @@ def test_byte_determinism(capsys):
         ["poisson", "--n", "0"],
         ["clt", "--N", "0", "--moment", "4"],
         ["clt", "--N", "10", "--moment", "0"],
+        ["density", "--p", "1e400", "--q", "1"],  # beyond the float range
+        ["quadcheck", "--p", "1e400", "--q", "1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

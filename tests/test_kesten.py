@@ -18,8 +18,11 @@ def test_parameter_validation():
         KestenMeasure(-0.1, 1.0)
     with pytest.raises(ValueError):
         KestenMeasure(1.0, -2.0)
-    with pytest.raises(ValueError):
-        KestenMeasure(0.0, 0.0)  # degenerate: use boolean_limit()
+    for p, q in [(F(10**400), 1), (1, F(10**400)), (math.inf, 1), (0, math.nan), (1e308, 1e308)]:
+        with pytest.raises(ValueError, match="finite"):
+            KestenMeasure(p, q)
+    # an exact rational below the float range rounds to the boolean point
+    assert KestenMeasure(F(1, 10**400), 0).s == 0.0
 
 
 def test_support_edge():
@@ -83,7 +86,7 @@ def test_quadrature_moment_zero_is_total_mass():
 
 
 def test_boolean_limit_measure():
-    mu = KestenMeasure.boolean_limit()
+    mu = KestenMeasure(0, 0)
     assert mu.s == 0.0
     assert sorted(mu.atoms()) == [(-1.0, 0.5), (1.0, 0.5)]
     assert mu.density(0.5) == 0.0  # purely atomic

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -131,6 +132,9 @@ def test_enumeration_limit_guard():
         for n in (0, PAIR_ENUM_LIMIT // 2 + 1):
             with pytest.raises(ValueError):
                 compute(n)
+    # the pair sums count their own n, the pairs of [2n]
+    with pytest.raises(ValueError, match=r"pair enumeration of \[2n\]: n = 8 exceeds the limit 7;"):
+        r_by_enumeration(8)
     for n in (0, GENERAL_ENUM_LIMIT + 1):
         with pytest.raises(ValueError):
             poisson_moment(n)
@@ -149,6 +153,17 @@ def test_sequences_frozen_values():
     assert table.a[1] == P
     assert table.s_r(2, 2) == ONE  # S^2 starts at z^2
     assert table.s_r(2, 3) == P + Q
+
+
+# sha256 of every r, s, a and s_rows entry of sequences_by_recursion(16, r_max=4),
+# one canonical string per line; rows 2-4 are pinned nowhere else past n = 3
+GOLDEN_RECURSION_16_4 = "82b58d4eccc6fcfbaac72ecf8fae12cc36d3a04b1ab7473241f2ff7704a70d91"
+
+
+def test_recursion_table_golden_digest():
+    table = sequences_by_recursion(16, r_max=4)
+    text = "\n".join(str(x) for seq in (table.r, table.s, table.a) + table.s_rows for x in seq)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RECURSION_16_4
 
 
 def test_covered_weight_sum_is_n_factorial_s_n():
@@ -217,8 +232,7 @@ def test_gen_euler_examples_and_totals():
         hist = gen_euler_histogram(n)
         assert sum(hist.values()) == math.factorial(n) * catalan(n)
         for (k, j), count in hist.items():
-            assert gen_euler(n, k, j, route="formula") == count
-            assert gen_euler(n, k, j, route="enumeration") == count
+            assert gen_euler(n, k, j) == count
 
 
 def test_gen_euler_histogram_matches_oracle():

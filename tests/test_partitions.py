@@ -169,12 +169,8 @@ def test_monotone_colorings_count_double_factorial():
 
 
 def test_covered_and_outer_block_filters():
-    ops = list(enumerate_ordered(8, pair_only=True, covered_only=True))
-    assert all(op.base.is_covered for op in ops)
-    assert all(nesting_forest(op.base).outer_count == 1 for op in ops)
     roots2 = list(enumerate_ordered(6, pair_only=True, outer_blocks=2))
     assert all(nesting_forest(op.base).outer_count == 2 for op in roots2)
-    assert list(enumerate_ordered(6, pair_only=True, covered_only=True, outer_blocks=2)) == []
 
 
 def test_enumeration_limits_guard():
