@@ -89,15 +89,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(e == (0, 0, 0) for e in self._terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get((0, 0, 0), Fraction(0))
-
-    @property
-    def max_t_degree(self) -> int:
-        return max((e[2] for e in self._terms), default=0)
-
     def t_coefficients(self) -> dict:
         """Split by T-degree: {k: coefficient of T^k as a (p,q)-polynomial}."""
         out: dict = {}
@@ -301,10 +292,6 @@ class UniPoly:
     @property
     def coeffs(self):
         return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
 
     @property
     def is_zero(self) -> bool:

@@ -18,7 +18,8 @@ Output contracts, kept deliberately rigid so runs are byte-reproducible:
 - ``clt``          one JSON document with the exact moment of the normalized
                    sum, its limit, and (under --p/--q) the exact distance.
 
-Exit codes: 0 success, 1 any oracle/equality failure, 2 usage errors.
+Exit codes: 0 success, 1 any oracle/equality failure or failed quadrature
+(one stderr line, no stdout), 2 usage errors.
 Rationals parse as "a/b" or decimal strings and must be nonnegative.
 """
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from . import discrete, fock, moments, verify as verify_mod
 from .algebra import MultiPoly
-from .kesten import KestenMeasure
+from .kesten import KestenMeasure, QuadratureError
 from .partitions import IntervalSignature, disorder_order_counts, enumerate_ordered, nesting_forest
 
 SCHEMA = "onc-kesten/1"
@@ -123,16 +124,11 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_density(args, parser) -> int:
     mu = KestenMeasure(args.p, args.q)
-    print("x,density")
-    if mu.edge > 0:
-        steps = args.grid - 1
-        for i in range(args.grid):
-            x = -mu.edge + (2.0 * mu.edge) * i / steps
-            print(f"{x!r},{mu.density(x)!r}")
-    print()
-    print("atom,mass")
-    for pos, mass in mu.atoms():
-        print(f"{pos!r},{mass!r}")
+    steps = args.grid - 1
+    xs = [-mu.edge + (2.0 * mu.edge) * i / steps for i in range(args.grid)] if mu.edge > 0 else []
+    lines = ["x,density"] + [f"{x!r},{mu.density(x)!r}" for x in xs] + ["", "atom,mass"]
+    lines += [f"{pos!r},{mass!r}" for pos, mass in mu.atoms()]
+    print("\n".join(lines))
     return 0
 
 
@@ -336,6 +332,9 @@ def main(argv=None) -> int:
         return args.fn(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
+    except QuadratureError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

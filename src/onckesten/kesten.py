@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 NODE_CAP = 2**20
+_S_MAX = math.sqrt(sys.float_info.max)  # about the largest s with (1 - s)^2 a finite float
 
 
 class QuadratureError(RuntimeError):
@@ -41,7 +43,11 @@ class QuadratureError(RuntimeError):
 
 
 class KestenMeasure:
-    """Two-parameter Kesten-type measure; p and q become floats here, once."""
+    """Two-parameter Kesten-type measure; p and q become floats here, once.
+
+    The accepted domain is every p, q >= 0 for which 2s and (1 - s)^2 are
+    finite floats, i.e. s up to about ``_S_MAX``; the formulas below need both.
+    """
 
     def __init__(self, p: float, q: float):
         try:
@@ -53,6 +59,9 @@ class KestenMeasure:
             raise ValueError("p and q must be finite and within the float range")
         if p < 0 or q < 0:
             raise ValueError("p and q must be nonnegative")
+        gap = 1.0 - (p + q)
+        if not math.isfinite(gap * gap):  # and so is 2s
+            raise ValueError(f"p + q must be at most about {_S_MAX:.3g}, so that (1 - s)^2 is a finite float")
         self.p = p
         self.q = q
 
@@ -97,7 +106,8 @@ class KestenMeasure:
         den = 2.0 - (2.0 - s) * x * x
         # the denominator zero lies strictly outside the support for s != 1,
         # and cancels against the vanishing numerator at the edge for s = 1
-        assert den > 0.0, f"density denominator vanished inside the support at x={x}"
+        if den <= 0.0:
+            raise ArithmeticError(f"density denominator vanished inside the support at x={x!r}")
         return math.sqrt(2.0 * s - x * x) / (math.pi * den)
 
     def cauchy(self, z: complex) -> complex:

@@ -13,12 +13,15 @@ sequences that tie them together:
   s_n^(r), a_n and r_n (s = covered sum, a = covered with top cover,
   R = 1/(1-S), A = 1/(1-pS))
 * ``r_by_closed_form``   series extraction from
-  R(z) = (p+q-1-sqrt(1-2(p+q)z)) / (p+q-2+2z), dividing out the
-  (p+q-2)-denominators exactly at every order
+  R(z) = (s-1-sqrt(1-2sz)) / (s-2+2z), s = p+q, dividing by s-2 exactly
+  at every order
 * ``r_by_jacobi``        weighted Dyck paths of the continued fraction with
   coefficient ladder (1, t, t, ...), t = (p+q)/2
 * ``r_by_delaney``       r_n = sum_k D(n,k) t^k over the nesting-number
   counts D(n,k) of non-crossing pair partitions
+
+The last three depend on p and q only through s, so they run in one
+variable (x = s, resp. x = t) and lift each r_n to (p, q) once at the end.
 
 plus mixed interval moments, the compound (Poisson-type) moments with their
 symbolic time horizon T, the generalized Euler numbers refining n!*Catalan(n)
@@ -38,7 +41,7 @@ from itertools import chain, permutations, product
 from math import comb, factorial, prod
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, PowerSeries, Q, ZERO, _check_size
+from .algebra import MultiPoly, ONE, P, PowerSeries, Q, UniPoly, ZERO, _check_size
 from .partitions import (
     GENERAL_ENUM_LIMIT,
     PAIR_ENUM_LIMIT,
@@ -194,53 +197,38 @@ def sequences_by_recursion(order: int, r_max: int = 3) -> SequenceTable:
 # -- route 3: closed form --------------------------------------------------------
 
 
-def _div_by_p_plus_q_minus_2(f: MultiPoly) -> MultiPoly:
-    """Exact quotient f / (p+q-2); raises if the division leaves a remainder.
-
-    Synthetic division in the variable p against p - (2-q): the quotient
-    coefficients stay polynomials in (q, T), so the localized denominators of
-    the closed-form series are cleared eagerly at every order.
-    """
-    if f.is_zero:
-        return ZERO
-    rows: dict = {}
-    for (dp, dq, dt), c in f.items():
-        rows.setdefault(dp, {})[(0, dq, dt)] = c
-    d = max(rows)
-    coeffs = {i: MultiPoly(rows.get(i, {})) for i in range(d + 1)}
-    if d == 0:
-        raise ArithmeticError(f"not divisible by p+q-2: {f}")
-    two_minus_q = MultiPoly.constant(2) - Q
-    quot = [ZERO] * d
-    acc = coeffs[d]
-    for i in range(d - 1, -1, -1):
-        quot[i] = acc
-        acc = coeffs[i] + two_minus_q * acc
+def _div_by_x_minus_2(f: UniPoly) -> UniPoly:
+    """Exact quotient f / (x-2) by synthetic division; raises on a remainder."""
+    quot = []
+    acc = ZERO
+    for c in reversed(f.coeffs):
+        quot.append(acc)
+        acc = c + acc * 2
     if not acc.is_zero:
-        raise ArithmeticError(f"not divisible by p+q-2, remainder {acc}")
-    out = ZERO
-    for i, g in enumerate(quot):
-        out = out + g * P**i
-    return out
+        raise ArithmeticError(f"not divisible by x-2, remainder {acc}")
+    return UniPoly(reversed(quot[1:]))
 
 
 def r_by_closed_form(order: int) -> list:
-    """Coefficients r_0..r_order of (p+q-1-sqrt(1-2(p+q)z)) / (p+q-2+2z).
+    """Coefficients r_0..r_order of (s-1-sqrt(1-2sz)) / (s-2+2z), s = p+q.
 
-    Works in the series ring with (p+q-2) inverted; every returned
-    coefficient is asserted to clear its denominator, i.e. to be a genuine
-    polynomial in (p, q).
+    Runs in one variable x = s: the z^n coefficient of the numerator is
+    [n = 0](x-1) - b_n x^n with b_n the constants of sqrt(1-2w), and
+    (x-2) r_n + 2 r_(n-1) matches it.  Every division by x-2 is checked to
+    be exact, i.e. every r_n is a genuine polynomial; each is lifted to
+    (p, q) once, at x = p+q.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    root = PowerSeries([ONE, (P + Q) * (-2)], order).sqrt()
-    numer = PowerSeries([P + Q - ONE], order) - root
+    root = PowerSeries([ONE, MultiPoly.constant(-2)], order).sqrt()
     out: list = []
+    prev = UniPoly()
     for n in range(order + 1):
-        val = numer.coeff(n)
-        if n:
-            val = val - out[n - 1] * 2
-        out.append(_div_by_p_plus_q_minus_2(val))
+        numer = UniPoly([ZERO] * n + [-root.coeff(n)])
+        if n == 0:
+            numer = numer + UniPoly([-1, 1])
+        prev = _div_by_x_minus_2(numer - prev * 2)
+        out.append(prev.eval_poly(P + Q))
     return out
 
 
@@ -251,27 +239,27 @@ def r_by_jacobi(order: int) -> list:
     """r_0..r_order as Dyck-path weights of the ladder (1, t, t, ...), t=(p+q)/2.
 
     A down-step from level 1 carries weight 1, from any higher level weight t;
-    the 2n-step closed walks at level 0 sum to r_n.
+    the 2n-step closed walks at level 0 sum to r_n.  The walk runs in one
+    variable x = t and lifts each r_n to (p, q) once.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    t = (P + Q) / 2
+    t = UniPoly([ZERO, ONE])
     levels = order + 2
-    u = [ONE] + [ZERO] * levels
+    u = [UniPoly.one()] + [UniPoly()] * levels
     out = [ONE]
     for step in range(1, 2 * order + 1):
-        nxt = [ZERO] * (levels + 1)
+        nxt = [UniPoly()] * (levels + 1)
         for k in range(levels + 1):
             if u[k].is_zero:
                 continue
             if k + 1 <= levels:
                 nxt[k + 1] = nxt[k + 1] + u[k]
             if k >= 1:
-                w = ONE if k == 1 else t
-                nxt[k - 1] = nxt[k - 1] + u[k] * w
+                nxt[k - 1] = nxt[k - 1] + (u[k] if k == 1 else u[k] * t)
         u = nxt
         if step % 2 == 0:
-            out.append(u[0])
+            out.append(u[0].eval_poly((P + Q) / 2))
     return out
 
 
@@ -290,15 +278,12 @@ def delaney(n: int, k: int) -> int:
 
 
 def r_by_delaney(n: int) -> MultiPoly:
+    """r_n = sum_k D(n,k) t^k, lifted once at t = (p+q)/2."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    t = (P + Q) / 2
-    out = ZERO
-    for k in range(n):
-        out = out + t**k * delaney(n, k)
-    return out
+    return UniPoly([delaney(n, k) for k in range(n)]).eval_poly((P + Q) / 2)
 
 
 def gen_euler_histogram(n: int, override_limits: bool = False) -> dict:

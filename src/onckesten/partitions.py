@@ -56,10 +56,6 @@ class SetPartition:
         return len(self.blocks)
 
     @property
-    def is_pair(self) -> bool:
-        return all(len(b) == 2 for b in self.blocks)
-
-    @property
     def is_covered(self) -> bool:
         """1 and n share a block (that block then covers everything)."""
         return self.n in self.blocks[0]

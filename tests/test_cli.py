@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,8 @@ def test_byte_determinism(capsys):
         ["clt", "--N", "10", "--moment", "0"],
         ["density", "--p", "1e400", "--q", "1"],  # beyond the float range
         ["quadcheck", "--p", "1e400", "--q", "1"],
+        ["quadcheck", "--p", "1e300", "--q", "1"],  # (1 - s)^2 overflows
+        ["density", "--p", "1e308", "--q", "1"],  # 2s overflows
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -212,6 +218,14 @@ def test_usage_errors_exit_two(capsys, argv):
         cli.main(argv)
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_failed_computation_exits_one_without_traceback(capsys):
+    # an accepted s far from 1 whose quadrature cannot reach the tolerance
+    code = cli.main(["quadcheck", "--p", "1e150", "--q", "1", "--nmax", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and len(err.splitlines()) == 1 and "best estimate" in err
 
 
 def test_size_guard_names_the_override_flag(capsys):
@@ -241,3 +255,12 @@ def test_stdout_golden_digests(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py rebinds package names by name; a rename breaks the traced run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    code = "import spans; spans.install(spans.Tracer())"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

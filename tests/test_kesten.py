@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from onckesten import kesten
 from onckesten.kesten import KestenMeasure, QuadratureError
 from onckesten.moments import sequences_by_recursion
 
@@ -21,6 +22,11 @@ def test_parameter_validation():
     for p, q in [(F(10**400), 1), (1, F(10**400)), (math.inf, 1), (0, math.nan), (1e308, 1e308)]:
         with pytest.raises(ValueError, match="finite"):
             KestenMeasure(p, q)
+    # finite floats whose 2s or (1 - s)^2 is not: the float formulas need both
+    for p, q in [(1e300, 1), (1e308, 1)]:
+        with pytest.raises(ValueError, match="finite"):
+            KestenMeasure(p, q)
+    assert KestenMeasure(1e150, 1).edge > 0
     # an exact rational below the float range rounds to the boolean point
     assert KestenMeasure(F(1, 10**400), 0).s == 0.0
 
@@ -131,7 +137,8 @@ def test_stieltjes_inversion_recovers_density():
             assert mu.stieltjes_density(x) == pytest.approx(mu.density(x), abs=1e-4)
 
 
-def test_quadrature_error_carries_estimate():
+def test_quadrature_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(kesten, "NODE_CAP", 2**12)  # the same failure, 256x fewer evaluations
     mu = KestenMeasure(1, 1)
     with pytest.raises(QuadratureError) as info:
         mu.quadrature_moment(6, tol=1e-300)

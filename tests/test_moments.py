@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from onckesten.algebra import MultiPoly, ONE, P, Q, T, ZERO
+from onckesten.algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO
 from onckesten.moments import (
+    _div_by_x_minus_2,
     catalan,
     covered_weight_sum,
     delaney,
@@ -180,6 +181,26 @@ def test_closed_form_and_jacobi_prefixes():
     for n in range(1, 7):
         assert closed[n] == table.r[n]
         assert jacobi[n] == table.r[n]
+
+
+# sha256 of r_by_closed_form(24), r_by_jacobi(24) and r_by_delaney(n) for n <= 24,
+# one canonical string per line in that order
+GOLDEN_S_ROUTES_24 = "a5eab7ab897fe2def35ac30f90352690b0c89a66ba637ad698c0b311835b0add"
+
+
+def test_s_only_routes_golden_digest():
+    seqs = (r_by_closed_form(24), r_by_jacobi(24), [r_by_delaney(n) for n in range(25)])
+    text = "\n".join(str(x) for seq in seqs for x in seq)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_S_ROUTES_24
+
+
+def test_division_by_x_minus_2_is_exact_or_raises():
+    x = UniPoly([ZERO, ONE])
+    assert _div_by_x_minus_2(x * x - 4) == x + 2
+    assert _div_by_x_minus_2(UniPoly()) == UniPoly()
+    for f in (x * x - 3, UniPoly([ONE])):
+        with pytest.raises(ArithmeticError, match="remainder"):
+            _div_by_x_minus_2(f)
 
 
 def test_specialization_rays():

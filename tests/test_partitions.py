@@ -40,7 +40,7 @@ def test_partition_normalizes_and_validates():
     sp = _sp(4, [[3, 4], [2, 1]])
     assert sp.blocks == ((1, 2), (3, 4))
     assert str(sp) == "[{1,2},{3,4}]"
-    assert sp.is_pair and not sp.is_covered
+    assert not sp.is_covered
     assert _sp(4, [[1, 4], [2, 3]]).is_covered
     with pytest.raises(ValueError):
         _sp(4, [[1, 2], [2, 3]])
