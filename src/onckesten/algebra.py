@@ -387,10 +387,8 @@ class PowerSeries:
 
     __slots__ = ("_coeffs", "_order")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None):
+    def __init__(self, coeffs: Sequence, order: int):
         cs = [as_multipoly(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
         if order < 0:
             raise ValueError("series order must be >= 0")
         cs = cs[: order + 1]
@@ -476,14 +474,10 @@ class PowerSeries:
             out.append((self._coeffs[n] - s) / 2)
         return PowerSeries(out, self._order)
 
-    def agrees_through(self, other: "PowerSeries", order: int | None = None):
-        """First index where the two series differ, or None if they agree.
-
-        Comparison runs through ``order`` (default: the smaller truncation)."""
-        n = min(self._order, other._order)
-        if order is not None:
-            n = min(n, order)
-        for k in range(n + 1):
+    def agrees_through(self, other: "PowerSeries"):
+        """First index where the two series differ, or None if they agree
+        through the smaller truncation."""
+        for k in range(min(self._order, other._order) + 1):
             if self._coeffs[k] != other._coeffs[k]:
                 return k
         return None

@@ -14,6 +14,7 @@ Output contracts, kept deliberately rigid so runs are byte-reproducible:
                    exact rational as a string, and their absolute error.
 - ``brownian``     one JSON document comparing operator and combinatorial
                    routes for a mixed-interval word; exit 1 on disagreement.
+                   --intervals declares each name once.
 - ``poisson``      the canonical polynomial in p, q, T as plain text.
 - ``clt``          one JSON document with the exact moment of the normalized
                    sum, its limit, and (under --p/--q) the exact distance.
@@ -49,12 +50,6 @@ def _rational(text: str) -> Fraction:
     return value
 
 
-def _require_pq_pair(parser: argparse.ArgumentParser, args) -> bool:
-    if (args.p is None) != (args.q is None):
-        parser.error("--p and --q must be given together")
-    return args.p is not None
-
-
 def _print_json(payload: dict):
     print(json.dumps(payload, indent=2))
 
@@ -62,7 +57,7 @@ def _print_json(payload: dict):
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_enumerate(args, parser) -> int:
+def _cmd_enumerate(args) -> int:
     for op in enumerate_ordered(
         args.n, pair_only=not args.general, override_limits=args.override_limits
     ):
@@ -84,9 +79,9 @@ def _cmd_enumerate(args, parser) -> int:
     return 0
 
 
-def _cmd_moments(args, parser) -> int:
+def _cmd_moments(args) -> int:
     report = moments.moment_report(args.n, route=args.route, override_limits=args.override_limits)
-    if _require_pq_pair(parser, args):
+    if args.p is not None:
         routes = {name: str(poly.evaluate(args.p, args.q)) for name, poly in report.routes.items()}
     else:
         routes = {name: str(poly) for name, poly in report.routes.items()}
@@ -96,7 +91,7 @@ def _cmd_moments(args, parser) -> int:
     return 0 if report.agreement else 1
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     report = verify_mod.run_all(order=args.order, seed=args.seed)
     _print_json(
         {
@@ -122,7 +117,7 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_density(args, parser) -> int:
+def _cmd_density(args) -> int:
     mu = KestenMeasure(args.p, args.q)
     steps = args.grid - 1
     xs = [-mu.edge + (2.0 * mu.edge) * i / steps for i in range(args.grid)] if mu.edge > 0 else []
@@ -132,7 +127,7 @@ def _cmd_density(args, parser) -> int:
     return 0
 
 
-def _cmd_quadcheck(args, parser) -> int:
+def _cmd_quadcheck(args) -> int:
     mu = KestenMeasure(args.p, args.q)
     table = moments.sequences_by_recursion(max(1, (args.nmax + 1) // 2))
     rows = []
@@ -159,24 +154,26 @@ def _cmd_quadcheck(args, parser) -> int:
 _INTERVAL_RE = re.compile(r"(\w+)=\[([^,\[\]]+),([^,\[\]]+)\]")
 
 
-def _parse_intervals(parser, text: str) -> dict:
+def _parse_intervals(text: str) -> dict:
     found = {}
     for m in _INTERVAL_RE.finditer(text):
+        if m.group(1) in found:
+            raise ValueError(f"--intervals declares {m.group(1)!r} twice; declare each name once")
         found[m.group(1)] = (m.group(2), m.group(3))
     residue = re.sub(r"[,\s]", "", _INTERVAL_RE.sub("", text))
     if not found or residue:
-        parser.error(f"cannot parse --intervals {text!r}; expected name=[lo,hi],...")
+        raise ValueError(f"cannot parse --intervals {text!r}; expected name=[lo,hi],...")
     try:
         return {name: (Fraction(lo), Fraction(hi)) for name, (lo, hi) in found.items()}
     except (ValueError, ZeroDivisionError):
-        parser.error(f"interval endpoints in {text!r} must be rationals")
+        raise ValueError(f"interval endpoints in {text!r} must be rationals")
 
 
-def _cmd_brownian(args, parser) -> int:
+def _cmd_brownian(args) -> int:
     names = tuple(args.signature.split())
     if not names:
-        parser.error("--signature must list at least one interval name")
-    intervals = _parse_intervals(parser, args.intervals)
+        raise ValueError("--signature must list at least one interval name")
+    intervals = _parse_intervals(args.intervals)
     sig = IntervalSignature.from_named_intervals(names, intervals)
     operator = fock.position_moment(sig, override_limits=args.override_limits)
     combinatorial = moments.mixed_moment_brownian(sig, override_limits=args.override_limits)
@@ -194,16 +191,16 @@ def _cmd_brownian(args, parser) -> int:
     return 0 if equal else 1
 
 
-def _cmd_poisson(args, parser) -> int:
+def _cmd_poisson(args) -> int:
     print(str(moments.poisson_moment(args.n, override_limits=args.override_limits)))
     return 0
 
 
-def _cmd_clt(args, parser) -> int:
+def _cmd_clt(args) -> int:
     value = discrete.clt_moment(args.N, args.moment, override_limits=args.override_limits)
     limit = discrete.clt_leading_term(args.moment, override_limits=args.override_limits)
     payload = {"schema": SCHEMA, "N": args.N, "moment": args.moment}
-    if _require_pq_pair(parser, args):
+    if args.p is not None:
         v = value.evaluate(args.p, args.q)
         l = limit.evaluate(args.p, args.q)
         payload.update({"value": str(v), "limit": str(l), "distance": str(abs(v - l))})
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         description='Example: brownian --signature "f f g g f f" --intervals "g=[0,1],f=[1,2]"',
     )
     p_br.add_argument("--signature", required=True, help="space-separated interval names, one per factor")
-    p_br.add_argument("--intervals", required=True, help='declarations like "g=[0,1],f=[1,2]"')
+    p_br.add_argument("--intervals", required=True, help='declarations like "g=[0,1],f=[1,2]", each name once')
     add_override(p_br)
     p_br.set_defaults(fn=_cmd_brownian)
 
@@ -328,8 +325,10 @@ def main(argv=None) -> int:
         parser.error("--grid must be at least 2")
     if getattr(args, "nmax", 1) < 1:
         parser.error("--nmax must be at least 1")
+    if (getattr(args, "p", None) is None) != (getattr(args, "q", None) is None):
+        parser.error("--p and --q must be given together")
     try:
-        return args.fn(args, parser)
+        return args.fn(args)
     except ValueError as exc:
         parser.error(str(exc))
     except QuadratureError as exc:

@@ -226,7 +226,7 @@ class FockEngine:
             _bump(out, word, c * ((P if head.interval > i else Q) * (g_hi - g_lo)))
         return ZERO
 
-    def gauge(self, i: int, h: UniPoly, vacuum_factor=ZERO, v: FockVector = None) -> FockVector:
+    def gauge(self, i: int, h: UniPoly, vacuum_factor, v: FockVector) -> FockVector:
         """Multiplication by h on interval i, acting on the first factor.
 
         Words whose first factor lives elsewhere are annihilated (disjoint
@@ -359,20 +359,20 @@ def word_admits_partition(tags: Sequence) -> bool:
     return depth == 0
 
 
-def parse_word(text: str, interval: int = 0) -> tuple:
-    """Parse words like "a*a*aa*aa" or "a* m a" into operator tags."""
+def parse_word(text: str) -> tuple:
+    """Parse words like "a*a*aa*aa" or "a* m a" into operator tags on interval 0."""
     tags = []
     i = 0
     s = text.replace(" ", "")
     while i < len(s):
         if s.startswith("a*", i):
-            tags.append(("a*", interval))
+            tags.append(("a*", 0))
             i += 2
         elif s[i] == "a":
-            tags.append(("a", interval))
+            tags.append(("a", 0))
             i += 1
         elif s[i] in ("m", "n"):
-            tags.append((s[i], interval))
+            tags.append((s[i], 0))
             i += 1
         else:
             raise ValueError(f"cannot parse operator word {text!r} at position {i}")

@@ -31,15 +31,18 @@ import math
 import sys
 
 NODE_CAP = 2**20
+MIN_DEPTH = 6  # subdivisions before any panel is accepted
 _S_MAX = math.sqrt(sys.float_info.max)  # about the largest s with (1 - s)^2 a finite float
 
 
 class QuadratureError(RuntimeError):
-    """Tolerance not reached within the node cap; carries the best estimate."""
+    """Tolerance not reached; carries the best estimate and the number of
+    integrand evaluations made."""
 
-    def __init__(self, message: str, estimate: float):
+    def __init__(self, message: str, estimate: float, nodes: int):
         super().__init__(message)
         self.estimate = estimate
+        self.nodes = nodes
 
 
 class KestenMeasure:
@@ -119,9 +122,9 @@ class KestenMeasure:
         w = z * cmath.sqrt(1.0 - 2.0 * s / (z * z))
         return ((s - 1.0) * z - w) / (2.0 - (2.0 - s) * z * z)
 
-    def stieltjes_density(self, x: float, eps: float = 1e-6) -> float:
-        """Density recovered from the boundary values of G."""
-        return -self.cauchy(complex(x, eps)).imag / math.pi
+    def stieltjes_density(self, x: float) -> float:
+        """Density recovered from the boundary values of G, at height 1e-6."""
+        return -self.cauchy(complex(x, 1e-6)).imag / math.pi
 
     # -- quadrature ----------------------------------------------------------------
 
@@ -142,14 +145,14 @@ class KestenMeasure:
         total += _adaptive_simpson(f, -math.pi / 2.0, math.pi / 2.0, tol)
         return total
 
-    def total_mass(self, tol: float = 1e-12) -> float:
-        return self.quadrature_moment(0, tol)
+    def total_mass(self) -> float:
+        return self.quadrature_moment(0, 1e-12)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, min_depth: int = 6) -> float:
-    """Adaptive Simpson with a hard cap on function evaluations.
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson with a hard cap of ``NODE_CAP`` function evaluations.
 
-    Acceptance requires ``min_depth`` subdivisions: trigonometric-polynomial
+    Acceptance requires ``MIN_DEPTH`` subdivisions: trigonometric-polynomial
     integrands can make the Richardson estimate vanish exactly on coarse
     symmetric panels (the sixth-moment integrand does, at the first split),
     so early panels are never trusted.  ``best`` is the composite Simpson sum
@@ -161,11 +164,12 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, min_depth: int = 6) -> 
     def ev(x: float) -> float:
         nonlocal evals
         evals += 1
+        fx = f(x)
         if evals > NODE_CAP:
             raise QuadratureError(
-                f"quadrature node cap {NODE_CAP} exceeded; best estimate {best!r}", best
+                f"quadrature node cap {NODE_CAP} exceeded ({evals} nodes); best estimate {best!r}", best, evals
             )
-        return f(x)
+        return fx
 
     def simpson(x0, f0, x2, f2):
         x1 = 0.5 * (x0 + x2)
@@ -177,12 +181,12 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, min_depth: int = 6) -> 
         lm, flm, left = simpson(x0, f0, x1, f1)
         rm, frm, right = simpson(x1, f1, x2, f2)
         err = (left + right - whole) / 15.0
-        if depth >= min_depth and abs(err) <= tol_here:
+        if depth >= MIN_DEPTH and abs(err) <= tol_here:
             return left + right + err
         best += left + right - whole
         if depth > 60:
             raise QuadratureError(
-                f"tolerance not reached at recursion depth {depth}; best estimate {best!r}", best
+                f"tolerance not reached at recursion depth {depth} ({evals} nodes); best estimate {best!r}", best, evals
             )
         half = tol_here / 2.0
         return recurse(x0, f0, x1, f1, left, lm, flm, half, depth + 1) + recurse(

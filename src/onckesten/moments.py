@@ -140,15 +140,10 @@ class SequenceTable:
     top-covered variant, ``r`` the full moment sequence.
     """
 
-    order: int
-    r_max: int
     r: tuple
     s: tuple
     a: tuple
     s_rows: tuple
-
-    def s_r(self, r: int, n: int) -> MultiPoly:
-        return self.s_rows[r][n]
 
 
 def sequences_by_recursion(order: int, r_max: int = 3) -> SequenceTable:
@@ -185,8 +180,6 @@ def sequences_by_recursion(order: int, r_max: int = 3) -> SequenceTable:
         a[n] = P * a_acc
         rser[n] = r_acc
     return SequenceTable(
-        order=order,
-        r_max=r_max,
         r=tuple(rser),
         s=tuple(s1),
         a=tuple(a),
@@ -318,8 +311,8 @@ class IdentityCheck:
     detail: str = ""
 
 
-def _expect_agreement(name: str, lhs: PowerSeries, rhs: PowerSeries, through: Optional[int] = None) -> IdentityCheck:
-    k = lhs.agrees_through(rhs, through)
+def _expect_agreement(name: str, lhs: PowerSeries, rhs: PowerSeries) -> IdentityCheck:
+    k = lhs.agrees_through(rhs)
     if k is not None:
         raise MomentMismatchError(
             f"{name}: first mismatch at z^{k}: {lhs.coeff(k)} != {rhs.coeff(k)}"
@@ -327,15 +320,17 @@ def _expect_agreement(name: str, lhs: PowerSeries, rhs: PowerSeries, through: Op
     return IdentityCheck(name=name, passed=True)
 
 
-def series_identity_checks(order: int, r_max: int = 3) -> list:
+def series_identity_checks(order: int) -> list:
     """Verify the generating-function identities through the given order.
 
     Checks R*(1-S) = 1, A*(1-pS) = 1, S^(r) = S^r, and the differential
-    recurrence (S^(r))' = r S^(r-1) A + 2qz (S^(r))' A - qr A S^(r).
+    recurrence (S^(r))' = r S^(r-1) A + 2qz (S^(r))' A - qr A S^(r), the
+    last two for r <= 3: seven checks in all.
     Raises MomentMismatchError at the first failing coefficient.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
+    r_max = 3
     table = sequences_by_recursion(order, r_max=r_max)
     S = PowerSeries(table.s, order)
     A = PowerSeries(table.a, order)
@@ -389,14 +384,13 @@ def mixed_moment_brownian(sig: IntervalSignature, override_limits: bool = False)
 
     Equals sum over adapted ordered non-crossing pair partitions of
     w(P) * prod_i lambda_i^{b_i} / b_i!; zero for odd length or odd interval
-    multiplicities.
+    multiplicities, where every pairing has a block that straddles two
+    intervals.
     """
     n = sig.n
     if n % 2:
         return ZERO
     _check_size("pair enumeration", n, PAIR_ENUM_LIMIT, override_limits)
-    if sig.pair_multiplicities() is None:
-        return ZERO
     bases = (_adapted_base(blocks, sig) for blocks in _nc_pairings(tuple(range(1, n + 1))))
     return _coloring_sum(base for base in bases if base is not None)
 

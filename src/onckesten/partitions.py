@@ -247,13 +247,13 @@ class IntervalSignature:
     """Assignment of tensor positions to a ladder of disjoint intervals.
 
     ``lengths[i]`` is the length of the i-th interval counting from the left;
-    ``assignment[j]`` is the interval index of position j+1.  ``labels`` are
-    display names in the same left-to-right order.
+    ``assignment[j]`` is the interval index of position j+1.  Intervals are
+    known only by that index: the names given to ``from_named_intervals``
+    are not kept.
     """
 
     lengths: tuple
     assignment: tuple
-    labels: tuple = ()
 
     def __post_init__(self):
         lengths = tuple(Fraction(x) for x in self.lengths)
@@ -263,14 +263,11 @@ class IntervalSignature:
             raise ValueError("interval lengths must be positive")
         if any(not 0 <= a < len(lengths) for a in self.assignment):
             raise ValueError("assignment refers to an unknown interval")
-        labels = self.labels or tuple(f"I{i + 1}" for i in range(len(lengths)))
-        if len(labels) != len(lengths) or len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct, one per interval")
-        object.__setattr__(self, "labels", tuple(labels))
 
     @classmethod
-    def single(cls, n: int, length=1) -> "IntervalSignature":
-        return cls((Fraction(length),), (0,) * n)
+    def single(cls, n: int) -> "IntervalSignature":
+        """n positions on one unit interval."""
+        return cls((Fraction(1),), (0,) * n)
 
     @classmethod
     def from_named_intervals(cls, names: Sequence[str], intervals: dict) -> "IntervalSignature":
@@ -293,7 +290,6 @@ class IntervalSignature:
         return cls(
             lengths=tuple(hi - lo for lo, hi, _ in items),
             assignment=tuple(rank[nm] for nm in names),
-            labels=tuple(nm for _, _, nm in items),
         )
 
     @property
@@ -303,19 +299,6 @@ class IntervalSignature:
     @property
     def interval_count(self) -> int:
         return len(self.lengths)
-
-    def multiplicities(self) -> tuple:
-        counts = [0] * len(self.lengths)
-        for a in self.assignment:
-            counts[a] += 1
-        return tuple(counts)
-
-    def pair_multiplicities(self) -> Optional[tuple]:
-        """b_i = multiplicity / 2 per interval, or None if some count is odd."""
-        counts = self.multiplicities()
-        if any(c % 2 for c in counts):
-            return None
-        return tuple(c // 2 for c in counts)
 
     def block_intervals(self, blocks: Sequence) -> Optional[list]:
         """Interval index of each block, or None if a block straddles two intervals."""

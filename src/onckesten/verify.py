@@ -268,7 +268,7 @@ def _check_covered_sums(order: int, rng) -> Tuple[bool, str]:
             total = ZERO
             for op in enumerate_ordered(2 * n, pair_only=True, outer_blocks=r):
                 total = total + weight(op)
-            expected = table.s_r(r, n) * Fraction(math.factorial(n))
+            expected = table.s_rows[r][n] * Fraction(math.factorial(n))
             if total != expected:
                 return False, f"n={n}, r={r}: outer-block weight sum {total} != n! s^({r})_{n}"
     return True, "covered sums equal n! s_n (n <= 5) and r-root sums equal n! s^(r)_n (n <= 4)"
@@ -307,7 +307,7 @@ def _check_reversal_symmetry(order: int, rng) -> Tuple[bool, str]:
 
 def _check_series_identities(order: int, rng) -> Tuple[bool, str]:
     # a mismatch raises MomentMismatchError, which run_all records as a failed check
-    results = moments.series_identity_checks(order, r_max=3)
+    results = moments.series_identity_checks(order)
     return True, "; ".join(c.name for c in results)
 
 
@@ -399,8 +399,6 @@ _CHECKS: Tuple[Tuple[str, Callable], ...] = (
     ("clt-moments-and-rate", _check_clt),
     ("kesten-quadrature-analytics", _check_kesten),
 )
-
-CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def paper_errata() -> Tuple[ErrataEntry, ...]:

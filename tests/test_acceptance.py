@@ -221,7 +221,7 @@ def test_criterion_09_quadrature_and_analytics():
 
 def test_criterion_10_series_identities():
     with criterion(10, "generating-series identities hold exactly through order 6"):
-        checks = series_identity_checks(6, r_max=3)
+        checks = series_identity_checks(6)
         assert checks, "no series identities produced"
         for check in checks:
             assert check.passed, (check.name, check.detail)

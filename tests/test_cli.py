@@ -211,11 +211,23 @@ def test_byte_determinism(capsys):
         ["quadcheck", "--p", "1e400", "--q", "1"],
         ["quadcheck", "--p", "1e300", "--q", "1"],  # (1 - s)^2 overflows
         ["density", "--p", "1e308", "--q", "1"],  # 2s overflows
+        ["brownian", "--signature", "f f", "--intervals", "f=[0,1],f=[2,5]"],  # f declared twice
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_unpaired_p_exits_before_computing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("moment_report ran before the --p/--q check")
+
+    monkeypatch.setattr(cli.moments, "moment_report", refuse)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["moments", "--n", "7", "--p", "1/2"])
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
 

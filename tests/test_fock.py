@@ -75,7 +75,7 @@ def test_position_moments_single_interval():
 
 
 def test_position_moment_volume_scaling():
-    sig = IntervalSignature.single(4, length=F(1, 3))
+    sig = IntervalSignature((F(1, 3),), (0,) * 4)
     assert position_moment(sig) == (_c(2) + P + Q) / F(18)
 
 
@@ -124,7 +124,6 @@ def test_table_words_by_operators():
 
 def test_parse_word_round_trip_and_errors():
     assert parse_word("a* m a") == (("a*", 0), ("m", 0), ("a", 0))
-    assert parse_word("a*naa*", interval=1) == (("a*", 1), ("n", 1), ("a", 1), ("a*", 1))
     with pytest.raises(ValueError):
         parse_word("a*b")
     engine = FockEngine.poisson()

@@ -152,8 +152,8 @@ def test_sequences_frozen_values():
     assert table.s[2] == _half(P + Q)
     assert table.s[3] == _half((P + Q) ** 2)
     assert table.a[1] == P
-    assert table.s_r(2, 2) == ONE  # S^2 starts at z^2
-    assert table.s_r(2, 3) == P + Q
+    assert table.s_rows[2][2] == ONE  # S^2 starts at z^2
+    assert table.s_rows[2][3] == P + Q
 
 
 # sha256 of every r, s, a and s_rows entry of sequences_by_recursion(16, r_max=4),
@@ -288,7 +288,7 @@ def test_singleton_to_pair_substitution_preserves_statistics():
 
 
 def test_series_identities_all_pass():
-    checks = series_identity_checks(6, r_max=3)
+    checks = series_identity_checks(6)
     assert len(checks) >= 7
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
@@ -330,7 +330,7 @@ def test_table_word_moments_single_interval():
 
 
 def test_word_moment_scales_with_interval_volume():
-    sig = IntervalSignature.single(4, length=F(1, 2))
+    sig = IntervalSignature((F(1, 2),), (0,) * 4)
     # two blocks on one interval of length 1/2: lambda^2/2! = 1/8 per coloring pair
     got = word_moment_by_enumeration((True, True, False, False), sig)
     assert got == (P + Q) / F(8)

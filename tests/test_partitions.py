@@ -200,10 +200,7 @@ def test_signature_construction_and_ranks():
     )
     assert sig.lengths == (F(1), F(1))
     assert sig.assignment == (1, 1, 0, 0, 1, 1)
-    assert sig.labels == ("g", "f")
     assert sig.n == 6 and sig.interval_count == 2
-    assert sig.multiplicities() == (2, 4)
-    assert sig.pair_multiplicities() == (1, 2)
 
 
 def test_signature_validation_errors():
@@ -218,11 +215,6 @@ def test_signature_validation_errors():
     # touching endpoints are allowed
     sig = IntervalSignature.from_named_intervals(("a", "b"), {"a": (0, 1), "b": (1, 2)})
     assert sig.assignment == (0, 1)
-
-
-def test_signature_odd_multiplicity_has_no_pair_split():
-    sig = IntervalSignature(lengths=(F(1),), assignment=(0, 0, 0))
-    assert sig.pair_multiplicities() is None
 
 
 def test_adapted_colorings_follow_the_interval_ladder():
