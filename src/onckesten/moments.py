@@ -8,7 +8,7 @@ of ordered non-crossing pair partitions of [2n]:
 This module computes the same numbers five ways and exposes the auxiliary
 sequences that tie them together:
 
-* ``r_by_enumeration``   brute-force sum over the ordered partitions
+* ``r_by_enumeration``   sum over the non-crossing bases and their colorings
 * ``sequences_by_recursion``  the covered / outer-block recursion for
   s_n^(r), a_n and r_n (s = covered sum, a = covered with top cover,
   R = 1/(1-S), A = 1/(1-pS))
@@ -28,16 +28,19 @@ symbolic time horizon T, the generalized Euler numbers refining n!*Catalan(n)
 by (disorders, orders), and the pyramid factorization checks.
 
 Every enumeration routine here is one coloring sum, ``_coloring_sum``: over
-a stream of non-crossing bases, scale * T^t * sum of p^e q^e' over each
-base's admissible colorings.  The routines differ only in the bases they
+a stream of explicit non-crossing bases, scale * T^t * sum of p^e q^e' over
+each base's admissible colorings.  The routines differ only in the bases they
 stream, which colorings count (all k!, or interval-contiguous) and the scale.
+A base's colorings are counted, not listed: a hook-length DP on its nesting
+forest gives their number per e in time polynomial in k, once per forest
+shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, product
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Optional, Sequence
 
@@ -59,41 +62,109 @@ def catalan(n: int) -> int:
 
 
 # -- the coloring-sum core ------------------------------------------------------
+# A coloring's e counts the forest edges whose child is colored before its
+# parent.  Expanding x^e = prod over edges (1 + (x-1) [child first]) gives
+#
+#     sum over the k! colorings of x^e = sum over S of (x-1)^|S| * L(S),
+#
+# S running over the edge subsets and L(S) = k! / prod_v h_S(v) counting the
+# linear extensions of the sub-forest S, h_S(v) the size of v's subtree in S
+# (the hook-length formula for forests, Knuth TAOCP vol. 3 §5.1.4).  A tree
+# DP sums L(S) per |S| in exact integers, once per canonical forest shape:
+# nested sorted tuples of subtree shapes.
 # perfbench/spans.py rebinds _nc_pairings, _set_partitions, _coloring_histogram
-# and _grouped_histogram in this module by name and relies on their signatures.
+# and _grouped_histogram in this module by name and relies on their signatures;
+# _grouped_histogram calls the shape core, not _coloring_histogram, so a
+# rebound _coloring_histogram sees the plain bases only.
 
 
-def _inversion_histogram(colorings: Iterable, edges: Sequence, k: int) -> dict:
-    """e -> number of the given colorings with e inverted parent/child pairs;
-    a coloring lists the k block indices, first-colored block first."""
-    hist: dict = {}
-    pos = [0] * k
-    for coloring in colorings:
-        for i, b in enumerate(coloring):
-            pos[b] = i
-        e = 0
-        for pa, ch in edges:
-            if pos[ch] < pos[pa]:
-                e += 1
-        hist[e] = hist.get(e, 0) + 1
-    return hist
+def _convolve(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _forest_shape(edges: Sequence, nodes: Iterable) -> tuple:
+    """Canonical shape of the forest on ``nodes``: the sorted shapes of its
+    trees, a tree's shape being the sorted shapes of its root's subtrees."""
+    kids = {v: [] for v in nodes}
+    for pa, ch in edges:
+        kids[pa].append(ch)
+
+    def shape(v):
+        return tuple(sorted(map(shape, kids[v])))
+
+    children = {ch for _, ch in edges}
+    return tuple(sorted(shape(v) for v in kids if v not in children))
+
+
+@lru_cache(maxsize=None)
+def _tree_table(tree: tuple) -> tuple:
+    """(size, {(h, j): count}) of a tree shape: count sums the linear
+    extensions of the tree's sub-forests S with |S| = j and h_S(root) = h."""
+    size, table = 1, {(1, 0): 1}
+    for sub in tree:
+        sub_size, sub_table = _tree_table(sub)
+        ways = comb(size + sub_size, sub_size)
+        cut: dict = {}  # the root's edge to this subtree left out of S
+        for (_, j), c in sub_table.items():
+            cut[j] = cut.get(j, 0) + c
+        merged: dict = {}
+        for (h, j), c in table.items():
+            c *= ways
+            for (sh, sj), sc in sub_table.items():
+                key = (h + sh, j + sj + 1)
+                merged[key] = merged.get(key, 0) + c * sc
+            for sj, sc in cut.items():
+                merged[h, j + sj] = merged.get((h, j + sj), 0) + c * sc
+        size, table = size + sub_size, merged
+    # the root's hook, deferred to here, divides every term of its entry
+    return size, {(h, j): c // h for (h, j), c in table.items()}
+
+
+@lru_cache(maxsize=None)
+def _forest_histogram(forest: tuple) -> tuple:
+    """Counts by e of the colorings of a forest shape, e = 0, 1, ..., edges.
+
+    The trees hang under a virtual root that no S contains: the table's
+    h = 1 entries count each extension of the forest once per place of the
+    isolated root among the k + 1."""
+    size, table = _tree_table(forest)
+    # by_s[j]: sum of L(S) over |S| = j, for j up to the forest's edge count
+    by_s = [table.get((1, j), 0) // size for j in range(size - len(forest))]
+    # powers of x - 1 to powers of x
+    return tuple(
+        sum(c * comb(j, e) * (-1) ** (j - e) for j, c in enumerate(by_s) if j >= e)
+        for e in range(len(by_s))
+    )
 
 
 def _coloring_histogram(edges: Sequence, k: int) -> dict:
     """e -> number of the k! colorings with e inverted parent/child pairs."""
-    if not edges:
-        return {0: factorial(k)}
-    return _inversion_histogram(permutations(range(k)), edges, k)
+    return dict(enumerate(_forest_histogram(_forest_shape(edges, range(k)))))
 
 
 def _grouped_histogram(edges: Sequence, groups: Sequence) -> dict:
     """Same statistic over colorings that keep each group contiguous in order.
 
-    ``groups`` lists block indices per interval, left interval first; the
-    admissible colorings are exactly the concatenations of per-group orders.
+    ``groups`` lists block indices per interval, left interval first.  An
+    edge between groups is inverted exactly when the child's group comes
+    first; the edges inside each group follow that group's own colorings.
     """
-    combos = product(*(permutations(g) for g in groups if g))
-    return _inversion_histogram(map(chain.from_iterable, combos), edges, sum(map(len, groups)))
+    rank = {b: r for r, g in enumerate(groups) for b in g}
+    inner: list = [[] for _ in groups]
+    fixed = 0
+    for pa, ch in edges:
+        if rank[pa] == rank[ch]:
+            inner[rank[pa]].append((pa, ch))
+        elif rank[ch] < rank[pa]:
+            fixed += 1
+    hist = [0] * fixed + [1]
+    for g, g_edges in zip(groups, inner):
+        hist = _convolve(hist, _forest_histogram(_forest_shape(g_edges, g)))
+    return {e: c for e, c in enumerate(hist) if c}
 
 
 def _coloring_sum(bases: Iterable) -> MultiPoly:
@@ -114,7 +185,7 @@ def _pair_sum(n: int, override_limits: bool, covered_only: bool = False) -> Mult
     return _coloring_sum((edges, _coloring_histogram(edges, n), 1, 0) for edges in forests)
 
 
-# -- route 1: brute enumeration -------------------------------------------------
+# -- route 1: enumeration of the bases --------------------------------------------
 
 
 def r_by_enumeration(n: int, override_limits: bool = False) -> MultiPoly:
@@ -146,7 +217,7 @@ class SequenceTable:
     s_rows: tuple
 
 
-def sequences_by_recursion(order: int, r_max: int = 3) -> SequenceTable:
+def sequences_by_recursion(order: int, r_max: int = 1) -> SequenceTable:
     """Fill s_n^(r), a_n and r_n from the removal recursion on the top block.
 
     For every r >= 1 and n >= r:
@@ -509,7 +580,7 @@ class MomentReport:
 def moment_report(n: int, route: str = "all", override_limits: bool = False) -> MomentReport:
     """Compute r_n by the requested route(s) and compare.
 
-    ``route="all"`` runs every route (the brute enumeration only within its
+    ``route="all"`` runs every route (the enumeration only within its
     limit unless overridden) and reports whether they agree exactly.
     """
     if n < 1:

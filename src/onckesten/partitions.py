@@ -30,8 +30,11 @@ from typing import Iterator, Optional, Sequence
 
 from .algebra import MultiPoly, _check_size
 
-# positions, not blocks: pair enumeration handles [2n] up to 14 by default,
-# general partitions up to n = 8 (Bell(8) = 4140 bases before filtering)
+# positions, not blocks.  Pair enumeration handles [2n] up to 14 by default:
+# Catalan(7) = 429 bases for the coloring sums, which count each base's
+# colorings without listing them, and 7! * 429 = 2,162,160 rows for the
+# ordered listing.  General partitions go up to n = 8 (Bell(8) = 4140 bases
+# before filtering).
 PAIR_ENUM_LIMIT = 14
 GENERAL_ENUM_LIMIT = 8
 

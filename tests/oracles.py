@@ -10,7 +10,7 @@ against these.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, product
 from math import factorial
 
 
@@ -88,6 +88,23 @@ def weight_histogram(blocks) -> dict:
         key = disorder_order(blocks, coloring)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def grouped_histogram(edges, groups) -> dict:
+    """e -> number of block orders with e edges (parent, child) whose child
+    comes first, over the orders that list each group contiguously, the
+    groups left to right."""
+    out = {}
+    for orders in product(*(permutations(g) for g in groups)):
+        position = {b: i for i, b in enumerate(chain.from_iterable(orders))}
+        e = sum(1 for parent, child in edges if position[child] < position[parent])
+        out[e] = out.get(e, 0) + 1
+    return out
+
+
+def coloring_histogram(edges, k) -> dict:
+    """The same count over all k! orders of the blocks 0..k-1."""
+    return grouped_histogram(edges, [range(k)])
 
 
 def nc_pair_partitions(n):

@@ -38,7 +38,7 @@ DEFAULTED = {
     "r_by_enumeration(override_limits=False)",
     "run_all(order=6)",
     "run_all(seed=7)",
-    "sequences_by_recursion(r_max=3)",
+    "sequences_by_recursion(r_max=1)",
 }
 
 

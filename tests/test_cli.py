@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from onckesten import cli
 
 R3 = "1 + p + q + 1/2p^2 + pq + 1/2q^2"
@@ -276,3 +278,30 @@ def test_benchmark_tracer_installs():
     code = "import spans; spans.install(spans.Tracer())"
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_coloring_counter_keeps_its_meaning():
+    # the traced run counts k! colorings per plain base with an edge and
+    # prod |g|! per adapted base, however the histogram is computed
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    assignment = (0, 1, 1, 0, 0, 1, 1, 0)
+    code = (
+        "import spans; tracer = spans.Tracer(); spans.install(tracer)\n"
+        "from fractions import Fraction\n"
+        "from onckesten import moments\n"
+        "from onckesten.partitions import IntervalSignature\n"
+        "moments.r_by_enumeration(5)\n"
+        f"moments.mixed_moment_brownian(IntervalSignature((Fraction(1), Fraction(2)), {assignment}))\n"
+        "print(tracer.counts['moments.colorings'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    plain = sum(math.factorial(5) for blocks in oracles.nc_pair_partitions(10) if oracles.forest_edges(blocks))
+    grouped = 0
+    for blocks in oracles.nc_pair_partitions(len(assignment)):
+        ranks = [{assignment[x - 1] for x in b} for b in blocks]
+        if all(len(r) == 1 for r in ranks):
+            grouped += math.prod(math.factorial(sum(r == {i} for r in ranks)) for i in (0, 1))
+    assert plain and grouped
+    assert int(proc.stdout) == plain + grouped

@@ -12,7 +12,9 @@ import pytest
 import oracles
 from onckesten.algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO
 from onckesten.moments import (
+    _coloring_histogram,
     _div_by_x_minus_2,
+    _grouped_histogram,
     catalan,
     covered_weight_sum,
     delaney,
@@ -31,7 +33,13 @@ from onckesten.moments import (
     series_identity_checks,
     word_moment_by_enumeration,
 )
-from onckesten.partitions import GENERAL_ENUM_LIMIT, PAIR_ENUM_LIMIT, IntervalSignature
+from onckesten.partitions import (
+    GENERAL_ENUM_LIMIT,
+    PAIR_ENUM_LIMIT,
+    IntervalSignature,
+    enumerate_nc,
+    nesting_forest,
+)
 
 F = Fraction
 
@@ -79,6 +87,57 @@ def test_enumeration_matches_oracle_weight_histograms():
                     covered[(e, ep, 0)] = covered.get((e, ep, 0), 0) + count
         assert r_by_enumeration(n) == MultiPoly(acc)
         assert covered_weight_sum(n) == MultiPoly(covered)
+
+
+def _shape(edges, k) -> tuple:
+    """Unlabeled shape of a forest on blocks 0..k-1, for grouping bases."""
+    kids = [[] for _ in range(k)]
+    for parent, child in edges:
+        kids[parent].append(child)
+
+    def tree(v):
+        return tuple(sorted(tree(c) for c in kids[v]))
+
+    roots = set(range(k)) - {child for _, child in edges}
+    return tuple(sorted(tree(v) for v in roots))
+
+
+def test_coloring_histogram_matches_permutations_on_every_small_forest():
+    # every forest on at most 7 blocks is the nesting forest of some pairing
+    # of [2k]; the brute count runs once per shape, every base is compared
+    bases = [sp for n in range(1, 8) for sp in enumerate_nc(2 * n, pair_only=True)]
+    bases += [sp for n in range(1, 8) for sp in enumerate_nc(n)]
+    brute: dict = {}
+    for sp in bases:
+        edges, k = nesting_forest(sp).edges, sp.block_count
+        shape = _shape(edges, k)
+        if shape not in brute:
+            brute[shape] = oracles.coloring_histogram(edges, k)
+        assert _coloring_histogram(edges, k) == brute[shape], sp
+    assert len(brute) == sum((1, 2, 4, 9, 20, 48, 115))  # rooted forests on 1..7 nodes
+    assert _coloring_histogram((), 0) == {0: 1}
+
+
+def test_grouped_histogram_matches_concatenated_permutations():
+    rng = random.Random(11)
+    seen = set()
+    for n in range(1, 7):
+        for sp in enumerate_nc(2 * n, pair_only=True):
+            edges = nesting_forest(sp).edges
+            for _ in range(3):
+                groups = [[] for _ in range(3)]
+                for b in range(n):
+                    groups[rng.randrange(3)].append(b)
+                for g in groups:
+                    rng.shuffle(g)
+                rank = {b: r for r, g in enumerate(groups) for b in g}
+                seen |= {len(g) for g in groups if len(g) < 2}
+                for parent, child in edges:
+                    if rank[child] != rank[parent]:
+                        seen.add("child first" if rank[child] < rank[parent] else "parent first")
+                assert _grouped_histogram(edges, groups) == oracles.grouped_histogram(edges, groups), (sp, groups)
+    assert seen == {0, 1, "child first", "parent first"}
+    assert _grouped_histogram((), []) == {0: 1}
 
 
 GOLDEN_R7 = (
@@ -254,6 +313,14 @@ def test_gen_euler_examples_and_totals():
         assert sum(hist.values()) == math.factorial(n) * catalan(n)
         for (k, j), count in hist.items():
             assert gen_euler(n, k, j) == count
+
+
+def test_gen_euler_closed_form_past_the_default_limit():
+    # the Delaney/Euler relation where the histogram needs the override
+    for n in (8, 9):
+        hist = gen_euler_histogram(n, override_limits=True)
+        assert sum(hist.values()) == math.factorial(n) * catalan(n)
+        assert hist == {(k, j): gen_euler(n, k, j) for k in range(n) for j in range(n - k)}
 
 
 def test_gen_euler_histogram_matches_oracle():
