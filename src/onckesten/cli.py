@@ -20,7 +20,8 @@ Output contracts, kept deliberately rigid so runs are byte-reproducible:
                    sum, its limit, and (under --p/--q) the exact distance.
 
 Exit codes: 0 success, 1 any oracle/equality failure or failed quadrature
-(one stderr line, no stdout), 2 usage errors.
+(one stderr line, no stdout) or a reader that closed stdout early (no
+traceback), 2 usage errors.
 Rationals parse as "a/b" or decimal strings and must be nonnegative.
 """
 
@@ -28,14 +29,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 from . import discrete, fock, moments, verify as verify_mod
 from .algebra import MultiPoly
 from .kesten import KestenMeasure, QuadratureError
-from .partitions import IntervalSignature, disorder_order_counts, enumerate_ordered, nesting_forest
+from .partitions import IntervalSignature, _disorders, enumerate_nc, nesting_forest
 
 SCHEMA = "onc-kesten/1"
 
@@ -58,24 +61,26 @@ def _print_json(payload: dict):
 
 
 def _cmd_enumerate(args) -> int:
-    for op in enumerate_ordered(
-        args.n, pair_only=not args.general, override_limits=args.override_limits
-    ):
-        e, eprime = disorder_order_counts(op)
-        forest = nesting_forest(op.base)
-        print(
-            json.dumps(
-                {
-                    "blocks": str(op),
-                    "e": e,
-                    "eprime": eprime,
-                    "weight": str(MultiPoly.monomial(1, e, eprime)),
-                    "inner": forest.inner_count,
-                    "outer": forest.outer_count,
-                    "covered": op.base.is_covered,
-                }
-            )
-        )
+    # Each row is the text json.dumps would give: block and weight strings hold
+    # only digits and "{},^pq", so nothing in them needs escaping.
+    weights = {}  # (e, e') -> weight string
+    for sp in enumerate_nc(args.n, pair_only=not args.general, override_limits=args.override_limits):
+        forest = nesting_forest(sp)
+        texts = ["{" + ",".join(map(str, b)) + "}" for b in sp.blocks]
+        tail = f', "inner": {forest.inner_count}, "outer": {forest.outer_count}, "covered": {json.dumps(sp.is_covered)}}}\n'
+        ends = []  # ends[e]: the rest of a row after its blocks, for e disorders
+        for e in range(forest.inner_count + 1):
+            ep = forest.inner_count - e
+            if (e, ep) not in weights:
+                weights[e, ep] = str(MultiPoly.monomial(1, e, ep))
+            ends.append(f']", "e": {e}, "eprime": {ep}, "weight": "{weights[e, ep]}"{tail}')
+        pos = [0] * sp.block_count
+        rows = []
+        for order in permutations(range(sp.block_count)):
+            for i, b in enumerate(order):
+                pos[b] = i
+            rows.append('{"blocks": "[' + ",".join([texts[b] for b in order]) + ends[_disorders(forest.edges, pos)])
+        sys.stdout.write("".join(rows))
     return 0
 
 
@@ -102,15 +107,7 @@ def _cmd_verify(args) -> int:
                 {"name": c.name, "status": "pass" if c.passed else "fail", "detail": c.detail}
                 for c in report.checks
             ],
-            "paper_errata": [
-                {
-                    "name": e.name,
-                    "published": e.published,
-                    "computed": e.computed,
-                    "resolution": e.resolution,
-                }
-                for e in report.errata
-            ],
+            "paper_errata": [vars(e) for e in report.errata],
             "ok": report.ok,
         }
     )
@@ -139,14 +136,7 @@ def _cmd_quadcheck(args) -> int:
         ok = ok and err <= args.tol
         rows.append({"n": n, "quadrature": got, "exact": str(exact), "abs_error": err})
     _print_json(
-        {
-            "schema": SCHEMA,
-            "p": str(args.p),
-            "q": str(args.q),
-            "tolerance": args.tol,
-            "rows": rows,
-            "ok": ok,
-        }
+        {"schema": SCHEMA, "p": str(args.p), "q": str(args.q), "tolerance": args.tol, "rows": rows, "ok": ok}
     )
     return 0 if ok else 1
 
@@ -325,6 +315,8 @@ def main(argv=None) -> int:
         parser.error("--grid must be at least 2")
     if getattr(args, "nmax", 1) < 1:
         parser.error("--nmax must be at least 1")
+    if not 0 <= getattr(args, "tol", 0.0) < float("inf"):
+        parser.error("--tol must be a finite nonnegative number")
     if (getattr(args, "p", None) is None) != (getattr(args, "q", None) is None):
         parser.error("--p and --q must be given together")
     try:
@@ -333,6 +325,11 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     except QuadratureError as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device so that the
+        # flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

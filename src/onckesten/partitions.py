@@ -154,11 +154,15 @@ def is_noncrossing(sp: SetPartition) -> bool:
     return True
 
 
+def _disorders(edges: tuple, pos) -> int:
+    """Nesting edges whose child is colored before its parent; pos[block] = position."""
+    return sum(pos[ch] < pos[pa] for pa, ch in edges)
+
+
 def disorder_order_counts(op: OrderedPartition) -> tuple:
     """(e, e'): neighboring pairs with the inner block colored first vs last."""
     forest = nesting_forest(op.base)
-    pos = op.color_position()
-    e = sum(1 for pa, ch in forest.edges if pos[ch] < pos[pa])
+    e = _disorders(forest.edges, op.color_position())
     return e, forest.inner_count - e
 
 

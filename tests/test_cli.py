@@ -214,6 +214,8 @@ def test_byte_determinism(capsys):
         ["quadcheck", "--p", "1e300", "--q", "1"],  # (1 - s)^2 overflows
         ["density", "--p", "1e308", "--q", "1"],  # 2s overflows
         ["brownian", "--signature", "f f", "--intervals", "f=[0,1],f=[2,5]"],  # f declared twice
+        ["quadcheck", "--p", "1", "--q", "1", "--tol", "nan"],
+        ["quadcheck", "--p", "1", "--q", "1", "--tol", "-1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -255,6 +257,8 @@ def test_size_guard_names_the_override_flag(capsys):
     [
         (["enumerate", "--n", "8"], "e5c2c1710b470d52fc16b356195b9c135221196932ef11822af8f2cbc67a3923"),
         (["enumerate", "--n", "6", "--general"], "73ea26922d2d93394b8f1e349fe6032f08cb9a25e45151f6a4114c6a0242f49a"),
+        (["enumerate", "--n", "12"], "e751b6536ddd54f44b6ba8e39cdfddcb3c33df522a19e9d933f38a2d5f8a2b8b"),
+        (["enumerate", "--n", "8", "--general"], "80e1f2db10be8f2d37379e89a8ea474a14914b27d6e69cb744e2ae4cc77800e3"),
         (["moments", "--n", "7", "--route", "enum"], "1ef2f964be95156273fbb5d7cc27818b4ccafd7d3176144e7a50f4b745c629a1"),
         (["poisson", "--n", "8"], "73e4fbe194c36b2176c4e4e679d8ea8bfd8d5771722bfee8fd861176599059c1"),
         (
@@ -262,13 +266,37 @@ def test_size_guard_names_the_override_flag(capsys):
             "ed8bbbae9e600317a709212ee5fb4426ecbdf178085cfdd54b1a864e9b2daae4",
         ),
     ],
-    ids=["enumerate-8", "enumerate-6-general", "moments-7-enum", "poisson-8", "brownian-two-intervals"],
+    ids=["enumerate-8", "enumerate-6-general", "enumerate-12", "enumerate-8-general", "moments-7-enum", "poisson-8", "brownian-two-intervals"],
 )
 def test_stdout_golden_digests(capsys, argv, digest):
     # sha256 of the byte-reproducible stdout, frozen at the default limits
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "10"], ["enumerate", "--n", "7", "--general"]])
+def test_enumerate_rows_are_canonical_json(capsys, argv):
+    # the rows are assembled by hand; each must read back to the same text
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines and all(json.dumps(json.loads(line)) == line for line in lines)
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "onckesten.cli", "enumerate", "--n", "12"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the listing is far larger than a pipe buffer
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert json.loads(first)["blocks"] == "[{1,2},{3,4},{5,6},{7,8},{9,10},{11,12}]"
+    assert err == b""  # no traceback, no message
 
 
 def test_benchmark_tracer_installs():
