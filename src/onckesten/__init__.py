@@ -8,82 +8,38 @@ by five independent routes, realizes them through symbolic Fock-space and
 discrete operator engines, and cross-checks everything exactly.
 """
 
-from .algebra import MultiPoly, PowerSeries, UniPoly
-from .discrete import clt_leading_term, clt_moment, discrete_word_moment
-from .fock import FockEngine, FockVector, parse_word, poisson_moment_by_operators, position_moment, word_admits_partition, word_for_partition
-from .kesten import KestenMeasure, QuadratureError
-from .moments import (
-    MomentReport,
-    delaney,
-    gen_euler,
-    mixed_moment_brownian,
-    moment_report,
-    poisson_moment,
-    r_by_closed_form,
-    r_by_delaney,
-    r_by_enumeration,
-    r_by_jacobi,
-    sequences_by_recursion,
-    series_identity_checks,
-    word_moment_by_enumeration,
-)
-from .partitions import (
-    IntervalSignature,
-    NestingForest,
-    OrderedPartition,
-    SetPartition,
-    disorder_order_counts,
-    enumerate_nc,
-    enumerate_ordered,
-    is_adapted,
-    is_noncrossing,
-    nesting_forest,
-    weight,
-)
-from .verify import run_all
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MultiPoly",
-    "UniPoly",
-    "PowerSeries",
-    "SetPartition",
-    "OrderedPartition",
-    "NestingForest",
-    "IntervalSignature",
-    "enumerate_nc",
-    "enumerate_ordered",
-    "is_noncrossing",
-    "nesting_forest",
-    "disorder_order_counts",
-    "weight",
-    "is_adapted",
-    "MomentReport",
-    "moment_report",
-    "r_by_enumeration",
-    "r_by_closed_form",
-    "r_by_jacobi",
-    "r_by_delaney",
-    "sequences_by_recursion",
-    "series_identity_checks",
-    "delaney",
-    "gen_euler",
-    "mixed_moment_brownian",
-    "word_moment_by_enumeration",
-    "poisson_moment",
-    "FockEngine",
-    "FockVector",
-    "position_moment",
-    "poisson_moment_by_operators",
-    "word_for_partition",
-    "word_admits_partition",
-    "parse_word",
-    "discrete_word_moment",
-    "clt_moment",
-    "clt_leading_term",
-    "KestenMeasure",
-    "QuadratureError",
-    "run_all",
-    "__version__",
-]
+# each public name's home submodule, imported the first time the name is read
+_EXPORTS = {
+    "algebra": ("MultiPoly", "UniPoly", "PowerSeries"),
+    "partitions": ("SetPartition", "OrderedPartition", "NestingForest", "IntervalSignature", "enumerate_nc",
+                   "enumerate_ordered", "is_noncrossing", "nesting_forest", "disorder_order_counts", "weight",
+                   "is_adapted"),
+    "moments": ("MomentReport", "moment_report", "r_by_enumeration", "r_by_closed_form", "r_by_jacobi",
+                "r_by_delaney", "sequences_by_recursion", "series_identity_checks", "delaney", "gen_euler",
+                "mixed_moment_brownian", "word_moment_by_enumeration", "poisson_moment"),
+    "fock": ("FockEngine", "FockVector", "position_moment", "poisson_moment_by_operators", "word_for_partition",
+             "word_admits_partition", "parse_word"),
+    "discrete": ("discrete_word_moment", "clt_moment", "clt_leading_term"),
+    "kesten": ("KestenMeasure", "QuadratureError"),
+    "verify": ("run_all",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    # not stored here: the home module's binding is the only one, so a rebinding there shows through
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -321,17 +321,12 @@ def word_for_partition(sp: SetPartition) -> tuple:
     m, singleton -> n.  Words are read left to right; the rightmost operator
     acts first.
     """
-    tags = []
-    for x in range(1, sp.n + 1):
-        b = sp.blocks[sp.block_index_of(x)]
+    tags = [("m", 0)] * sp.n
+    for b in sp.blocks:
         if len(b) == 1:
-            tags.append(("n", 0))
-        elif x == b[0]:
-            tags.append(("a*", 0))
-        elif x == b[-1]:
-            tags.append(("a", 0))
+            tags[b[0] - 1] = ("n", 0)
         else:
-            tags.append(("m", 0))
+            tags[b[0] - 1], tags[b[-1] - 1] = ("a*", 0), ("a", 0)
     return tuple(tags)
 
 

@@ -63,12 +63,6 @@ class SetPartition:
         """1 and n share a block (that block then covers everything)."""
         return self.n in self.blocks[0]
 
-    def block_index_of(self, x: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if x in b:
-                return i
-        raise KeyError(x)
-
     def __str__(self):
         return "[" + ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "]"
 

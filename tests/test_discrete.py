@@ -64,6 +64,24 @@ def test_order_pattern_counts_are_ordered_bell_numbers():
         assert set(pattern) == set(range(max(pattern) + 1))
 
 
+def test_odd_multiplicity_words_vanish():
+    # clt_class_sums skips these patterns, and clt_moment returns zero for odd n
+    # because every odd-length pattern has such a letter
+    checked = 0
+    for n in range(1, 7):
+        for pattern in order_patterns(n):
+            if any(pattern.count(v) % 2 for v in set(pattern)):
+                assert discrete_word_moment(pattern) == ZERO, pattern
+                checked += 1
+    assert checked == 5187
+
+
+def test_odd_orders_are_checked_before_they_vanish():
+    # test_limit_guards covers the size guard at an odd order; N is checked too
+    with pytest.raises(ValueError):
+        clt_moment(0, 3)
+
+
 def test_class_sums_low_order():
     sums = clt_class_sums(2)
     assert sums[0] == ONE  # (0,0)
