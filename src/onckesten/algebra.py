@@ -5,7 +5,8 @@ amplitudes -- is a polynomial in the two deformation parameters p, q and an
 optional time symbol T, with rational coefficients.  This module provides the
 shared value types:
 
-* ``MultiPoly``    sparse polynomial in (p, q, T) over ``Fraction``
+* ``MultiPoly``    sparse polynomial in (p, q, T) with rational coefficients,
+                   kept as int numerators over one common denominator
 * ``UniPoly``      polynomial in one extra coordinate x with MultiPoly
                    coefficients (integrands living on interval cells)
 * ``PowerSeries``  truncated power series in z with MultiPoly coefficients
@@ -23,6 +24,7 @@ denominator omitted when it is 1, e.g. ``1 + p + q + 1/2p^2 + pq + 1/2q^2``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -34,9 +36,12 @@ def _term_sort_key(expo):
 
 
 class MultiPoly:
-    """Sparse polynomial in (p, q, T) with exact rational coefficients."""
+    """Sparse polynomial in (p, q, T) with exact rational coefficients.
 
-    __slots__ = ("_terms", "_hash")
+    Stored as int numerators over one positive int denominator in lowest terms
+    (no zero numerator, ZERO over 1), so equal values have equal fields."""
+
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -45,60 +50,59 @@ class MultiPoly:
             dp, dq, dt = expo
             if dp < 0 or dq < 0 or dt < 0:
                 raise ValueError("negative exponent in MultiPoly term")
-            c = Fraction(coeff)
+            if not isinstance(coeff, (int, Fraction)):
+                coeff = Fraction(coeff)
             key = (int(dp), int(dq), int(dt))
-            c = acc.get(key, 0) + c
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        self._terms = acc
-        self._hash = None
+            acc[key] = acc.get(key, 0) + coeff  # ints stay ints
+        # every sum is in lowest terms, so over their lcm the numerators are coprime to it
+        den = lcm(*(c.denominator for c in acc.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in acc.items() if c}
+        self._den, self._hash = den, None
 
     @classmethod
-    def _make(cls, terms: dict) -> "MultiPoly":
-        # trusted constructor: Fraction values, no zero entries
+    def _make(cls, num: dict, den: int = 1) -> "MultiPoly":
+        # trusted constructor: int numerators over a positive int denominator,
+        # brought to lowest terms here
+        g = gcd(den, *num.values()) if den != 1 else 1
+        if g != 1 or 0 in num.values():
+            num = {e: c // g for e, c in num.items() if c}
+            den //= g
         self = object.__new__(cls)
-        self._terms = terms
-        self._hash = None
+        self._num, self._den, self._hash = num, den, None
         return self
 
     @classmethod
     def constant(cls, value: Scalar) -> "MultiPoly":
-        c = Fraction(value)
-        return cls._make({(0, 0, 0): c} if c else {})
+        return cls.monomial(value)
 
     @classmethod
     def monomial(cls, coeff: Scalar, dp: int = 0, dq: int = 0, dt: int = 0) -> "MultiPoly":
         c = Fraction(coeff)
-        return cls._make({(dp, dq, dt): c} if c else {})
+        return cls._make({(dp, dq, dt): c.numerator}, c.denominator)
 
     # -- inspection ---------------------------------------------------------
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list:
+        """(exponent, Fraction coefficient in lowest terms) pairs."""
+        return [(e, Fraction(c, self._den)) for e, c in self._num.items()]
 
     def coeff(self, dp: int, dq: int = 0, dt: int = 0) -> Fraction:
-        return self._terms.get((dp, dq, dt), Fraction(0))
+        return Fraction(self._num.get((dp, dq, dt), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e in self._terms)
+        return all(e == (0, 0, 0) for e in self._num)
 
     def t_coefficients(self) -> dict:
         """Split by T-degree: {k: coefficient of T^k as a (p,q)-polynomial}."""
         out: dict = {}
-        for (dp, dq, dt), c in self._terms.items():
+        for (dp, dq, dt), c in self._num.items():
             out.setdefault(dt, {})[(dp, dq, 0)] = c
-        return {k: MultiPoly._make(v) for k, v in sorted(out.items())}
-
-    def key(self):
-        """Canonical term tuple; usable as a deterministic sort key."""
-        return tuple((e, self._terms[e]) for e in sorted(self._terms, key=_term_sort_key))
+        return {k: MultiPoly._make(v, self._den) for k, v in sorted(out.items())}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -106,21 +110,25 @@ class MultiPoly:
         other = as_multipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:  # accumulations start at ZERO; values are immutable
+        if not self._num:  # accumulations start at ZERO; values are immutable
             return other
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly._make(out)
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._num)
+            for e, c in other._num.items():
+                out[e] = out.get(e, 0) + c
+            return MultiPoly._make(out, da)
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        out = {e: c * sa for e, c in self._num.items()}
+        for e, c in other._num.items():
+            out[e] = out.get(e, 0) + c * sb
+        return MultiPoly._make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make({e: -c for e, c in self._terms.items()})
+        return MultiPoly._make({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = as_multipoly(other)
@@ -133,22 +141,16 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return ZERO
-            return MultiPoly._make({e: v * c for e, v in self._terms.items()})
+            num = {e: c * other.numerator for e, c in self._num.items()}
+            return MultiPoly._make(num, self._den * other.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         out: dict = {}
-        for (a1, a2, a3), ca in self._terms.items():
-            for (b1, b2, b3), cb in other._terms.items():
+        for (a1, a2, a3), ca in self._num.items():
+            for (b1, b2, b3), cb in other._num.items():
                 e = (a1 + b1, a2 + b2, a3 + b3)
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly._make(out)
+                out[e] = out.get(e, 0) + ca * cb
+        return MultiPoly._make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -170,19 +172,22 @@ class MultiPoly:
             raise TypeError("MultiPoly division is only defined for rational scalars")
         if scalar == 0:
             raise ZeroDivisionError("division of MultiPoly by zero")
-        return self * (Fraction(1) / Fraction(scalar))
+        return self * Fraction(scalar.denominator, scalar.numerator)
 
-    def evaluate(self, p, q, t=None):
-        """Evaluate at numeric (p, q[, T]); exact when the inputs are exact."""
-        total = 0
-        for (dp, dq, dt), c in self._terms.items():
-            if dt and t is None:
-                raise ValueError("polynomial involves T but no T value was given")
-            term = c * p**dp * q**dq
-            if dt:
-                term *= t**dt
-            total += term
-        return total
+    def evaluate(self, p, q, t=None) -> Fraction:
+        """Exact value at (p, q[, T]), each anything ``Fraction()`` accepts; returns a Fraction.
+
+        With x = a/b per variable, sums numerator * a^i b^(maxdeg - i) in ints, divides once."""
+        tops = [max((e[i] for e in self._num), default=0) for i in range(3)]
+        if tops[2] and t is None:
+            raise ValueError("polynomial involves T but no T value was given")
+        xs = [Fraction(x) for x in (p, q, 0 if t is None else t)]
+        pw, qw, tw = (
+            [x.numerator**i * x.denominator ** (top - i) for i in range(top + 1)]
+            for x, top in zip(xs, tops)
+        )
+        total = sum(c * pw[dp] * qw[dq] * tw[dt] for (dp, dq, dt), c in self._num.items())
+        return Fraction(total, self._den * prod(x.denominator**top for x, top in zip(xs, tops)))
 
     # -- comparisons and rendering -------------------------------------------
 
@@ -191,22 +196,22 @@ class MultiPoly:
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         pieces = []
-        for expo in sorted(self._terms, key=_term_sort_key):
-            c = self._terms[expo]
+        for expo in sorted(self._num, key=_term_sort_key):
+            c = Fraction(self._num[expo], self._den)
             mono = "".join(
                 name if d == 1 else f"{name}^{d}"
                 for name, d in zip(("p", "q", "T"), expo)
@@ -235,6 +240,19 @@ def as_multipoly(x) -> MultiPoly:
     if isinstance(x, (int, Fraction)):
         return MultiPoly.constant(x)
     return NotImplemented
+
+
+def lift_to_pq(coeffs: Sequence) -> MultiPoly:
+    """Sum of c_k (p+q)^k over constant c_k: its p^i q^j coefficient is c_(i+j) * C(i+j, i).
+
+    Lifts a one-variable route's result to (p, q) with binomials, not polynomial products."""
+    cs = [as_multipoly(c) for c in coeffs]
+    if not all(c.is_constant for c in cs):
+        raise ValueError("lift_to_pq takes constant coefficients only")
+    den = lcm(*(c._den for c in cs))
+    nums = [c._num.get((0, 0, 0), 0) * (den // c._den) for c in cs]
+    terms = {(i, k - i, 0): c * comb(k, i) for k, c in enumerate(nums) for i in range(k + 1)}
+    return MultiPoly._make(terms, den)
 
 
 ZERO = MultiPoly.constant(0)

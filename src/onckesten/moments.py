@@ -44,7 +44,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, PowerSeries, Q, UniPoly, ZERO, _check_size
+from .algebra import MultiPoly, ONE, P, PowerSeries, Q, UniPoly, ZERO, _check_size, lift_to_pq
 from .partitions import (
     GENERAL_ENUM_LIMIT,
     PAIR_ENUM_LIMIT,
@@ -292,7 +292,7 @@ def r_by_closed_form(order: int) -> list:
         if n == 0:
             numer = numer + UniPoly([-1, 1])
         prev = _div_by_x_minus_2(numer - prev * 2)
-        out.append(prev.eval_poly(P + Q))
+        out.append(lift_to_pq(prev.coeffs))
     return out
 
 
@@ -323,7 +323,7 @@ def r_by_jacobi(order: int) -> list:
                 nxt[k - 1] = nxt[k - 1] + (u[k] if k == 1 else u[k] * t)
         u = nxt
         if step % 2 == 0:
-            out.append(u[0].eval_poly((P + Q) / 2))
+            out.append(lift_to_pq([c / 2**k for k, c in enumerate(u[0].coeffs)]))
     return out
 
 
@@ -347,7 +347,7 @@ def r_by_delaney(n: int) -> MultiPoly:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    return UniPoly([delaney(n, k) for k in range(n)]).eval_poly((P + Q) / 2)
+    return lift_to_pq([Fraction(delaney(n, k), 2**k) for k in range(n)])
 
 
 def gen_euler_histogram(n: int, override_limits: bool = False) -> dict:

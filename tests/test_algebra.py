@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from onckesten.algebra import (
     UniPoly,
     ZERO,
     as_multipoly,
+    lift_to_pq,
 )
 
 F = Fraction
@@ -54,6 +56,14 @@ def test_evaluate_is_exact_and_guards_t():
     assert (T + P).evaluate(F(1), F(0), F(2)) == F(3)
 
 
+def test_evaluate_takes_what_fraction_takes_and_returns_a_fraction():
+    r2 = (MultiPoly.constant(F(2)) + P + Q * T) / F(3)
+    got = r2.evaluate(0.5, 0.25, 2)
+    assert got == r2.evaluate(F(1, 2), F(1, 4), F(2)) == F(1)
+    assert isinstance(got, Fraction)
+    assert isinstance(ONE.evaluate(1, 1), Fraction) and isinstance(ZERO.evaluate(1, 1), Fraction)
+
+
 def test_scalar_equality_and_division():
     assert MultiPoly.constant(F(3, 2)) == F(3, 2)
     assert ZERO == 0 and not (P == 1)
@@ -83,6 +93,56 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
     assert a - a == ZERO
+
+
+def _assert_canonical(poly):
+    nums = list(poly._num.values())
+    assert isinstance(poly._den, int) and poly._den >= 1
+    assert all(isinstance(c, int) and c != 0 for c in nums)
+    assert math.gcd(poly._den, *nums) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.dictionaries(_exponents, _scalars, max_size=4), _polys, _scalars)
+def test_stored_form_is_canonical(terms, b, k):
+    a = MultiPoly(terms)
+    for value in (a, a + b, a - b, a * b, a * k, -a, a - a, *a.t_coefficients().values()):
+        _assert_canonical(value)
+    if k:
+        _assert_canonical(a / k)
+        assert (a / k) * k == a and hash((a / k) * k) == hash(a)
+    assert a - a == ZERO and hash(a - a) == hash(ZERO) and (a - a)._den == 1
+    # reading back gives the Fractions the value was built from, in lowest terms
+    expected = {e: c for e, c in terms.items() if c}
+    assert dict(a.items()) == expected
+    assert all(isinstance(c, Fraction) for _, c in a.items())
+    for e, c in expected.items():
+        got = a.coeff(*e)
+        assert isinstance(got, Fraction) and got == c
+
+
+def test_values_built_along_different_paths_are_equal_and_hash_equal():
+    half_p = MultiPoly({(1, 0, 0): F(2, 4)})
+    assert half_p == P / 2 and hash(half_p) == hash(P / 2)
+    assert (P / 2) * 2 == P and hash((P / 2) * 2) == hash(P)
+    assert MultiPoly([((1, 0, 0), 1), ((1, 0, 0), F(-1))]) == ZERO
+    cancelled = P / 3 + Q / 6 - (P * 2 + Q) / 6
+    assert cancelled == ZERO and hash(cancelled) == hash(ZERO) and cancelled.is_zero
+    assert MultiPoly({(0, 0, 0): 0.5}) == MultiPoly.constant(F(1, 2))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(_scalars, max_size=6))
+def test_lift_to_pq_matches_substituting_p_plus_q(cs):
+    lifted = lift_to_pq(cs)
+    assert lifted == UniPoly(cs).eval_poly(P + Q)
+    _assert_canonical(lifted)
+
+
+def test_lift_to_pq_raises_on_a_nonconstant_coefficient():
+    assert lift_to_pq([ONE, F(1, 2)]) == ONE + (P + Q) / 2
+    with pytest.raises(ValueError):
+        lift_to_pq([ONE, P])
 
 
 @settings(deadline=None, max_examples=40)
