@@ -57,10 +57,11 @@ def test_evaluate_is_exact_and_guards_t():
 
 
 def test_evaluate_takes_what_fraction_takes_and_returns_a_fraction():
-    r2 = (MultiPoly.constant(F(2)) + P + Q * T) / F(3)
-    got = r2.evaluate(0.5, 0.25, 2)
-    assert got == r2.evaluate(F(1, 2), F(1, 4), F(2)) == F(1)
+    r2 = (MultiPoly.constant(F(2)) + P + Q) / F(2)
+    got = r2.evaluate(0.5, 0.25)
+    assert got == r2.evaluate(F(1, 2), F(1, 4)) == F(11, 8)
     assert isinstance(got, Fraction)
+    assert (Q * T).evaluate(0.5, 0.25, 2) == F(1, 2)
     assert isinstance(ONE.evaluate(1, 1), Fraction) and isinstance(ZERO.evaluate(1, 1), Fraction)
 
 
@@ -106,7 +107,7 @@ def _assert_canonical(poly):
 @given(st.dictionaries(_exponents, _scalars, max_size=4), _polys, _scalars)
 def test_stored_form_is_canonical(terms, b, k):
     a = MultiPoly(terms)
-    for value in (a, a + b, a - b, a * b, a * k, -a, a - a, *a.t_coefficients().values()):
+    for value in (a, b, a + b, a - b, a * b, a * k, -a, a - a, *a.t_coefficients().values()):
         _assert_canonical(value)
     if k:
         _assert_canonical(a / k)
