@@ -50,6 +50,9 @@ class KestenMeasure:
 
     The accepted domain is every p, q >= 0 for which 2s and (1 - s)^2 are
     finite floats, i.e. s up to about ``_S_MAX``; the formulas below need both.
+    ``s`` = p + q and ``edge`` = sqrt(2s), the right endpoint of the
+    absolutely continuous support, are computed once here, as are the two
+    constants of the quadrature integrand.
     """
 
     def __init__(self, p: float, q: float):
@@ -67,15 +70,10 @@ class KestenMeasure:
             raise ValueError(f"p + q must be at most about {_S_MAX:.3g}, so that (1 - s)^2 is a finite float")
         self.p = p
         self.q = q
-
-    @property
-    def s(self) -> float:
-        return self.p + self.q
-
-    @property
-    def edge(self) -> float:
-        """Right endpoint of the absolutely continuous support."""
-        return math.sqrt(2.0 * self.s)
+        self.s = p + q
+        self.edge = math.sqrt(2.0 * self.s)
+        self._edge_sq = self.edge * self.edge
+        self._gap_sq = (1.0 - self.s) ** 2
 
     # -- atoms ------------------------------------------------------------------
 
@@ -133,8 +131,8 @@ class KestenMeasure:
         # no cancellation near the edge as s -> 1, and the arcsine law at s = 1
         sn, c = math.sin(theta), math.cos(theta)
         x = self.edge * sn
-        den = 2.0 * (c * c + (1.0 - self.s) ** 2 * sn * sn)
-        return x**n / math.pi * (self.edge * self.edge) * c * c / den
+        den = 2.0 * (c * c + self._gap_sq * sn * sn)
+        return x**n / math.pi * self._edge_sq * c * c / den
 
     def quadrature_moment(self, n: int, tol: float = 1e-10) -> float:
         """n-th moment: adaptive quadrature of the density plus atom terms."""

@@ -4,7 +4,9 @@ Everything here recomputes combinatorial facts from first principles with no
 imports from the package under test: partitions as frozensets, crossings by
 the defining quadruple scan, nesting by direct enclosure, and weights by
 counting disorder/order pairs per coloring.  Tests freeze package outputs
-against these.
+against these.  The unpruned operator drivers at the end take an engine from
+the caller, with its vacuum vector, and apply every step to every live word,
+with no horizon.
 """
 
 from __future__ import annotations
@@ -144,3 +146,27 @@ def mixed_moment(assignment, lengths) -> dict:
                 key = disorder_order(blocks, coloring) + (0,)
                 out[key] = out.get(key, 0) + scale
     return out
+
+
+def unpruned_word_moment(engine, vacuum, tags):
+    """Vacuum amplitude of an operator word, every tag applied (rightmost first)."""
+    v = vacuum
+    for tag in reversed(tuple(tags)):
+        v = engine.apply_tag(tag, v)
+    return v.vacuum
+
+
+def unpruned_position_moment(engine, vacuum, assignment):
+    """Vacuum moment of omega(chi_{r_1})...omega(chi_{r_n}) for the ranks r_j."""
+    v = vacuum
+    for rank in reversed(assignment):
+        v = engine.omega(rank, v)
+    return v.vacuum
+
+
+def unpruned_poisson_moment(engine, vacuum, n):
+    """Vacuum moment of (a + a* + n + m)^n on the engine's symbolic interval."""
+    v = vacuum
+    for _ in range(n):
+        v = engine.create(0, v).add(engine.annihilate(0, v)).add(engine.gauge_n(v)).add(engine.gauge_m(v))
+    return v.vacuum

@@ -14,6 +14,8 @@ import pytest
 
 import oracles
 from onckesten import cli
+from onckesten.fock import POSITION_MOMENT_LIMIT
+from onckesten.partitions import PAIR_ENUM_LIMIT
 
 R3 = "1 + p + q + 1/2p^2 + pq + 1/2q^2"
 
@@ -90,6 +92,14 @@ def test_brownian_worked_example(capsys):
     assert doc["operator_route"] == "1 + 1/2p^2 + 1/2pq"
     assert doc["combinatorial_route"] == doc["operator_route"]
     assert doc["intervals"] == {"g": ["0", "1"], "f": ["1", "2"]}
+
+
+@pytest.mark.parametrize("signature", ["f f g g " * 3, "f f g g " * 3 + "g f"], ids=["12", "14"])
+def test_brownian_accepts_what_the_pair_enumeration_accepts(capsys, signature):
+    # both routes share the limit of 14 positions
+    assert POSITION_MOMENT_LIMIT == PAIR_ENUM_LIMIT
+    code, doc = run_json(capsys, "brownian", "--signature", signature, "--intervals", "g=[0,1],f=[1,2]")
+    assert code == 0 and doc["equal"] is True
 
 
 def test_clt_golden_rationals(capsys):
@@ -204,7 +214,7 @@ def test_byte_determinism(capsys):
         ["verify", "--order", "9"],
         ["nosuchcommand"],
         ["poisson", "--n", "9"],  # exceeds the general enumeration guard
-        ["brownian", "--signature", "f f g g " * 3, "--intervals", "g=[0,1],f=[1,2]"],  # 12 positions
+        ["brownian", "--signature", "f f g g " * 4, "--intervals", "g=[0,1],f=[1,2]"],  # 16 positions
         ["enumerate", "--n", "0"],
         ["poisson", "--n", "0"],
         ["clt", "--N", "0", "--moment", "4"],

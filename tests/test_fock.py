@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -83,8 +84,10 @@ def test_position_moment_limit_guard():
     for n in (0, POSITION_MOMENT_LIMIT + 1, POSITION_MOMENT_LIMIT + 2):
         with pytest.raises(ValueError):
             position_moment(IntervalSignature.single(n))
-    got = position_moment(IntervalSignature.single(12), override_limits=True)
-    assert got == sequences_by_recursion(6).r[6]
+    # past the limit: f^8 g^8 on two disjoint unit intervals factors into r_4 r_4
+    sig = IntervalSignature((F(1), F(1)), (0,) * 8 + (1,) * 8)
+    r_4 = sequences_by_recursion(4).r[4]
+    assert position_moment(sig, override_limits=True) == r_4 * r_4
 
 
 def test_position_moment_disjoint_intervals_factor_by_nesting():
@@ -120,6 +123,21 @@ def test_table_words_by_operators():
     assert word("a*aa*a*aa") == (P + Q) / F(2)
     assert word("a*a*aa*aa") == (P * P + P * Q + Q * Q) / F(3)
     assert word("a*a*a*aaa") == (P * P + P * Q * F(4) + Q * Q) / F(6)
+
+
+@pytest.mark.parametrize(
+    "engine, tags, error",
+    [
+        (FockEngine.poisson(), (("x", 0), ("a*", 0)), ValueError),  # unknown kind
+        (FockEngine.poisson(), (("a*", 5), ("a*", 0)), IndexError),  # no interval 5
+        (FockEngine.brownian([(0, 1)]), (("m", 0), ("a*", 0)), ValueError),  # gauge off [0, T]
+    ],
+    ids=["kind", "index", "gauge"],
+)
+def test_word_vacuum_moment_checks_every_tag_before_the_first_step(engine, tags, error):
+    # each word dies at its first step, so only the upfront check can raise
+    with pytest.raises(error):
+        engine.word_vacuum_moment(tags)
 
 
 def test_parse_word_round_trip_and_errors():
@@ -259,6 +277,15 @@ def test_poisson_operator_route_low_orders():
         assert poisson_moment_by_operators(n) == poisson_moment(n)
 
 
+def test_poisson_operator_route_at_the_limit_is_narayana_at_p_equal_q_equal_1():
+    # p = q = 1 is the free Poisson law: T^k carries the Narayana number N(10, k)
+    coeffs = poisson_moment_by_operators(10).t_coefficients()
+    assert POISSON_OPERATOR_LIMIT == 10
+    assert {k: c.evaluate(1, 1) for k, c in coeffs.items()} == {
+        k: math.comb(10, k) * math.comb(10, k - 1) // 10 for k in range(1, 11)
+    }
+
+
 def test_poisson_operator_route_guards():
     for n in (0, POISSON_OPERATOR_LIMIT + 1):
         with pytest.raises(ValueError):
@@ -301,3 +328,33 @@ def test_partition_word_moment_matches_weight_sum():
         for k in range(2, b + 1):
             fact *= k
         assert got == total / F(fact) * T ** b, blocks
+
+
+# -- horizon pruning is exact: the drivers against their unpruned oracles ----------------
+
+
+def test_pruned_poisson_moment_matches_unpruned_oracle():
+    engine = FockEngine.poisson()
+    for n in range(1, 10):
+        want = oracles.unpruned_poisson_moment(engine, FockVector.unit(), n)
+        assert poisson_moment_by_operators(n) == want, n
+
+
+def test_pruned_position_moment_matches_unpruned_oracle():
+    rng = random.Random(1307)
+    for n in range(1, 13):
+        k = rng.randint(1, 3)
+        lengths = tuple(F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(k))
+        assignment = tuple(rng.randrange(k) for _ in range(n))
+        sig = IntervalSignature(lengths, assignment)
+        want = oracles.unpruned_position_moment(FockEngine.from_signature(sig), FockVector.unit(), assignment)
+        assert position_moment(sig) == want, (lengths, assignment)
+
+
+def test_pruned_word_moment_matches_unpruned_oracle():
+    engine = FockEngine.poisson()
+    for length in range(1, 6):
+        for kinds in itertools.product(("a", "a*", "m", "n"), repeat=length):
+            tags = tuple((kind, 0) for kind in kinds)
+            want = oracles.unpruned_word_moment(engine, FockVector.unit(), tags)
+            assert engine.word_vacuum_moment(tags) == want, kinds

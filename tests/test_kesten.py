@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -84,6 +85,18 @@ def test_quadrature_matches_exact_moments():
             exact = float(table.r[n].evaluate(F(p), F(q)))
             assert mu.quadrature_moment(2 * n) == pytest.approx(exact, abs=1e-8), (p, q, n)
             assert abs(mu.quadrature_moment(2 * n - 1)) < 1e-10
+
+
+# the six parameter points of verify's quadrature check plus the boolean point
+GOLDEN_POINTS = ((1, 1), (0, 1), (1, 0), (F(1, 2), F(1, 2)), (F(3, 10), F(1, 5)), (F(3, 2), F(2, 5)), (0, 0))
+
+
+def test_quadrature_moments_golden_digest():
+    # sha256 over repr of every moment n <= 12 at GOLDEN_POINTS: pins every bit
+    # of the integrand's float arithmetic
+    lines = [repr(KestenMeasure(p, q).quadrature_moment(n)) for p, q in GOLDEN_POINTS for n in range(13)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f62a0458b4a2fc697987c9bd20f49de23f546c50f4ab7ff276a917039b87d929"
 
 
 def test_quadrature_moment_zero_is_total_mass():
