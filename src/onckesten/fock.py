@@ -30,11 +30,13 @@ a*(chi) a(chi) checks the fold against code it does not share.  Words over
 {a, a*, m, n} reproduce the ordered-partition weights, which is what the
 cross-verification suite exercises.
 
-Only annihilators shorten a word, by one factor each, and gauges keep its
-length.  So the drivers (``word_vacuum_moment``, ``position_moment``,
-``poisson_moment_by_operators``) drop, after every step, each word longer
-than the number of steps still to come that can shorten it: such a word
-never reaches the vacuum, and dropping it is exact.
+The three moment routines (``FockEngine.word_vacuum_moment``, ``position_moment``,
+``poisson_moment_by_operators``) only list their steps, each an operator and
+whether it can shorten a word; ``_walk`` applies them to the vacuum.  Only
+annihilators shorten a word, by one factor each, and gauges keep its length,
+so after every step the walk drops each word longer than the number of
+shortening steps still to come: such a word never reaches the vacuum, and
+dropping it is exact.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO, _bump, _check_size,
 from .partitions import IntervalSignature, SetPartition
 
 # operator steps: each step rewrites every live word short enough to still
-# reach the vacuum (``_prune``); the running time grows about 1.8x per extra
+# reach the vacuum (``_walk``); the running time grows about 1.8x per extra
 # factor of a position moment and 2.3x per extra power of (a + a* + n + m)
 POSITION_MOMENT_LIMIT = 14
 POISSON_OPERATOR_LIMIT = 10
@@ -150,7 +152,7 @@ class FockEngine:
                 raise ValueError(f"empty interval [{iv.lo}, {iv.hi}]")
         for a, b in zip(self.intervals, self.intervals[1:]):
             if b.lo < a.hi:
-                raise ValueError("intervals must be identical or disjoint; overlap detected")
+                raise ValueError("intervals overlap; interiors must be disjoint, with a shared interval registered once")
         self._indicators = tuple(CellFunction(i, UniPoly.one()) for i in range(len(self.intervals)))
 
     @classmethod
@@ -264,7 +266,7 @@ class FockEngine:
     def gauge_m(self, v: FockVector) -> FockVector:
         """Plain gauge on [0, T]: identity on words, kills the vacuum."""
         self._require_symbolic()
-        return self.gauge(0, UniPoly.one(), ZERO, v)
+        return FockVector(ZERO, v.terms)  # every word starts on the only cell, 0
 
     def gauge_n(self, v: FockVector) -> FockVector:
         """Truncated number operator: multiply by qT + (p-q)x, T on the vacuum."""
@@ -277,86 +279,69 @@ class FockEngine:
 
     # -- word and moment evaluation ---------------------------------------------
 
-    def apply_tag(self, tag, v: FockVector) -> FockVector:
-        kind = tag[0]
-        idx = tag[1] if len(tag) > 1 else 0
-        if kind == "a":
-            return self.create(idx, v)
-        if kind == "a*":
-            return self.annihilate(idx, v)
-        if kind == "m":
-            return self.gauge_m(v)
-        if kind == "n":
-            return self.gauge_n(v)
-        raise ValueError(f"unknown operator tag {tag!r}")
+    def _operator(self, tag):
+        """The operator a tag names, as a function of the vector; raises on a bad tag.
 
-    def _check_tag(self, tag) -> None:
-        """Raise what ``apply_tag`` would raise for this tag on any vector."""
+        Looks the operator up on ``self``, so a wrapper on the class sees each step.
+        """
         kind = tag[0]
         if kind in ("a", "a*"):
-            self._as_cell(tag[1] if len(tag) > 1 else 0)
-        elif kind in ("m", "n"):
+            cell = self._as_cell(tag[1] if len(tag) > 1 else 0)
+            op = self.create if kind == "a" else self.annihilate
+            return lambda v: op(cell, v)
+        if kind in ("m", "n"):
             self._require_symbolic()
-        else:
-            raise ValueError(f"unknown operator tag {tag!r}")
+            return self.gauge_m if kind == "m" else self.gauge_n
+        raise ValueError(f"unknown operator tag {tag!r}")
+
+    def apply_tag(self, tag, v: FockVector) -> FockVector:
+        return self._operator(tag)(v)
 
     def word_vacuum_moment(self, tags: Sequence) -> MultiPoly:
         """Vacuum amplitude of the operator word (rightmost factor acts first).
 
-        Every tag is checked before the first step, so a bad tag raises even
+        Every tag is resolved before the first step, so a bad tag raises even
         where the word dies early.
         """
-        order = tuple(reversed(tuple(tags)))
-        for tag in order:
-            self._check_tag(tag)
-        horizon = sum(1 for tag in order if tag[0] == "a*")
-        v = FockVector.unit()
-        for tag in order:
-            if tag[0] == "a*":
-                horizon -= 1
-            v = _prune(self.apply_tag(tag, v), horizon)
-            if v.is_zero:
-                return ZERO
-        return v.vacuum
+        return _walk([(self._operator(tag), tag[0] == "a*") for tag in reversed(tuple(tags))])
 
 
-def _prune(v: FockVector, horizon: int) -> FockVector:
-    """Drop the words of ``v`` longer than ``horizon``, in place.
+def _walk(steps: Sequence) -> MultiPoly:
+    """Vacuum amplitude of the ``(operator, shortens)`` steps applied to the vacuum in turn.
 
-    ``horizon`` counts the steps still to come that can shorten a word; each
-    shortens it by at most one, so a longer word never reaches the vacuum
-    and dropping it is exact.  Reads word lengths only; ``v`` must be a
-    vector the caller owns.
+    Only a shortening step can shorten a word, and by one factor at most.  So
+    after each step a word longer than the number of shortening steps still to
+    come never reaches the vacuum; the walk drops it from the step's new vector
+    in place, which is exact.  Reads word lengths and the ``shortens`` flags only.
     """
-    if any(len(word) > horizon for word in v.terms):
-        v.terms = {word: c for word, c in v.terms.items() if len(word) <= horizon}
-    return v
+    horizon = sum(shortens for _, shortens in steps)
+    v = FockVector.unit()
+    for op, shortens in steps:
+        horizon -= shortens
+        v = op(v)
+        if any(len(word) > horizon for word in v.terms):
+            v.terms = {word: c for word, c in v.terms.items() if len(word) <= horizon}
+        if v.is_zero:
+            return ZERO
+    return v.vacuum
 
 
 def position_moment(sig: IntervalSignature, override_limits: bool = False) -> MultiPoly:
     """Vacuum moment of omega(f_1)...omega(f_n) along the signature."""
     _check_size("position moment", sig.n, POSITION_MOMENT_LIMIT, override_limits)
     engine = FockEngine.from_signature(sig)
-    v = FockVector.unit()
-    for done, rank in enumerate(reversed(sig.assignment), 1):
-        v = _prune(engine.omega(rank, v), sig.n - done)
-    return v.vacuum
+    return _walk([(lambda v, rank=rank: engine.omega(rank, v), True) for rank in reversed(sig.assignment)])
 
 
 def poisson_moment_by_operators(n: int, override_limits: bool = False) -> MultiPoly:
     """Vacuum moment of (a + a* + n + m)^n on the symbolic interval."""
     _check_size("operator compound moment", n, POISSON_OPERATOR_LIMIT, override_limits)
     engine = FockEngine.poisson()
-    v = FockVector.unit()
-    for done in range(1, n + 1):
-        v = (
-            engine.create(0, v)
-            .add(engine.annihilate(0, v))
-            .add(engine.gauge_n(v))
-            .add(engine.gauge_m(v))
-        )
-        v = _prune(v, n - done)
-    return v.vacuum
+
+    def step(v: FockVector) -> FockVector:
+        return engine.create(0, v).add(engine.annihilate(0, v)).add(engine.gauge_n(v)).add(engine.gauge_m(v))
+
+    return _walk([(step, True)] * n)
 
 
 def word_for_partition(sp: SetPartition) -> tuple:

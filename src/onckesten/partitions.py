@@ -275,7 +275,8 @@ class IntervalSignature:
         """Build from endpoint data {name: (lo, hi)}; disjointness enforced.
 
         Intervals must have pairwise disjoint interiors (touching endpoints
-        are fine); identical-or-disjoint is the registration discipline.
+        are fine); an interval shared by several positions is declared once,
+        under one name.
         """
         items = sorted(((Fraction(lo), Fraction(hi), nm) for nm, (lo, hi) in intervals.items()))
         for (lo, hi, nm) in items:
@@ -283,7 +284,8 @@ class IntervalSignature:
                 raise ValueError(f"interval {nm} is empty or reversed")
         for (_, hi, nm1), (lo2, _, nm2) in zip(items, items[1:]):
             if lo2 < hi:
-                raise ValueError(f"intervals {nm1} and {nm2} overlap; they must be identical or disjoint")
+                raise ValueError(f"intervals {nm1} and {nm2} overlap; interiors must be disjoint, "
+                                 "with a shared interval declared once under one name")
         rank = {nm: i for i, (_, _, nm) in enumerate(items)}
         unknown = set(names) - set(rank)
         if unknown:

@@ -307,7 +307,7 @@ def _check_reversal_symmetry(order: int, rng) -> Tuple[bool, str]:
 
 def _check_series_identities(order: int, rng) -> Tuple[bool, str]:
     # a mismatch raises MomentMismatchError, which run_all records as a failed check
-    results = moments.series_identity_checks(order)
+    results = moments.series_identity_checks(max(order, 2))
     return True, "; ".join(c.name for c in results)
 
 

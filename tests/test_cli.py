@@ -186,6 +186,13 @@ def test_verify_report(capsys):
         assert entry["published"] and entry["computed"] and entry["published"] != entry["computed"]
 
 
+def test_verify_at_order_one(capsys):
+    # the series identities start at order 2; the check runs them there
+    code, doc = run_json(capsys, "verify", "--order", "1")
+    assert code == 0 and doc["ok"] is True and doc["order"] == 1
+    assert all(c["status"] == "pass" for c in doc["checks"])
+
+
 def test_byte_determinism(capsys):
     for argv in (
         ["enumerate", "--n", "4"],
@@ -343,3 +350,23 @@ def test_benchmark_coloring_counter_keeps_its_meaning():
             grouped += math.prod(math.factorial(sum(r == {i} for r in ranks)) for i in (0, 1))
     assert plain and grouped
     assert int(proc.stdout) == plain + grouped
+
+
+def test_benchmark_operator_counter_sees_every_fock_step():
+    # the traced run counts every create, annihilate and gauge call, whichever routine makes it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    code = (
+        "import spans; tracer = spans.Tracer(); spans.install(tracer)\n"
+        "from onckesten.fock import FockEngine, parse_word, position_moment\n"
+        "from onckesten.partitions import IntervalSignature\n"
+        "FockEngine.poisson().word_vacuum_moment(parse_word('a*na'))\n"
+        "print(tracer.counts['fock.operator_calls'])\n"
+        "position_moment(IntervalSignature.single(2))\n"
+        "print(tracer.counts['fock.operator_calls'])\n"
+        "FockEngine.brownian([(0, 1), (2, 3)]).word_vacuum_moment((('a*', 1), ('a*', 0), ('a', 0), ('a', 1)))\n"
+        "print(tracer.counts['fock.operator_calls'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "7", "11"]

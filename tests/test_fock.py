@@ -49,6 +49,12 @@ def test_engine_validation():
         engine.indicator(2)
 
 
+@pytest.mark.parametrize("endpoints", [[(0, 1), (0, 1)], [(0, 2), (1, 3)]], ids=["identical", "overlapping"])
+def test_overlap_message_says_what_is_accepted(endpoints):
+    with pytest.raises(ValueError, match="overlap; interiors must be disjoint, with a shared interval registered once"):
+        FockEngine.brownian(endpoints)
+
+
 def test_symbolic_gauges_rejected_on_concrete_engines():
     engine = FockEngine.brownian([(0, 1)])
     with pytest.raises(ValueError):
@@ -358,3 +364,15 @@ def test_pruned_word_moment_matches_unpruned_oracle():
             tags = tuple((kind, 0) for kind in kinds)
             want = oracles.unpruned_word_moment(engine, FockVector.unit(), tags)
             assert engine.word_vacuum_moment(tags) == want, kinds
+
+
+def test_pruned_word_moment_matches_unpruned_oracle_on_two_intervals():
+    engine = FockEngine.brownian([(0, 1), (2, F(7, 2))])
+    alphabet = [(kind, i) for kind in ("a", "a*") for i in (0, 1)]
+    nonzero = 0
+    for length in range(1, 7):
+        for tags in itertools.product(alphabet, repeat=length):
+            want = oracles.unpruned_word_moment(engine, FockVector.unit(), tags)
+            assert engine.word_vacuum_moment(tags) == want, tags
+            nonzero += not want.is_zero
+    assert nonzero == 50

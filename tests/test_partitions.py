@@ -217,6 +217,14 @@ def test_signature_validation_errors():
     assert sig.assignment == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "intervals", [{"f": (0, 1), "g": (0, 1)}, {"f": (0, 2), "g": (1, 3)}], ids=["identical", "overlapping"]
+)
+def test_overlap_message_says_what_is_accepted(intervals):
+    with pytest.raises(ValueError, match="f and g overlap; interiors must be disjoint, with a shared interval declared once"):
+        IntervalSignature.from_named_intervals(("f", "g"), intervals)
+
+
 def test_adapted_colorings_follow_the_interval_ladder():
     sig = IntervalSignature(lengths=(F(1), F(1)), assignment=(0, 0, 1, 1))
     base = _sp(4, [[1, 2], [3, 4]])
