@@ -212,11 +212,13 @@ class FockEngine:
         """a*(f): pair the first factor against f through the ordering kernel."""
         cell = self._as_cell(f)
         i = cell.interval
+        unit = cell is self._indicators[i]  # the indicator's poly is 1: fold the head as it is
         vac = ZERO
         out: dict = {}
         for word, c in v.terms.items():
             if word[0].interval == i:  # otherwise disjoint supports: the overlap integral vanishes
-                vac = vac + self._fold(i, word[0].poly * cell.poly, word[1:], c, out)
+                head = word[0].poly if unit else word[0].poly * cell.poly
+                vac = vac + self._fold(i, head, word[1:], c, out)
         return FockVector(vac, out)
 
     def _fold(self, i: int, integrand: UniPoly, word: tuple, c: MultiPoly, out: dict) -> MultiPoly:

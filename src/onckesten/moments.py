@@ -46,13 +46,12 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import MultiPoly, ONE, P, PowerSeries, Q, UniPoly, ZERO, _check_size, lift_to_pq
 from .partitions import (
-    GENERAL_ENUM_LIMIT,
     PAIR_ENUM_LIMIT,
     IntervalSignature,
     SetPartition,
     _nc_pairings,
-    _set_partitions,
-    is_noncrossing,
+    _set_partitions,  # unused here: bound only for perfbench/spans.py, until ROADMAP item 1 frees the name
+    enumerate_nc,
     nesting_forest,
 )
 
@@ -73,9 +72,10 @@ def catalan(n: int) -> int:
 # DP sums L(S) per |S| in exact integers, once per canonical forest shape:
 # nested sorted tuples of subtree shapes.
 # perfbench/spans.py rebinds _nc_pairings, _set_partitions, _coloring_histogram
-# and _grouped_histogram in this module by name and relies on their signatures;
-# _grouped_histogram calls the shape core, not _coloring_histogram, so a
-# rebound _coloring_histogram sees the plain bases only.
+# and _grouped_histogram in this module by name and relies on their signatures,
+# and wraps enumerate_nc at this binding as at every other; _grouped_histogram
+# calls the shape core, not _coloring_histogram, so a rebound
+# _coloring_histogram sees the plain bases only.
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:
@@ -507,18 +507,16 @@ def poisson_moment(n: int, override_limits: bool = False) -> MultiPoly:
     """n-th moment of the compound element, a polynomial in p, q and T.
 
     Sums T^b(P) w(P) / b(P)! over all ordered non-crossing partitions of [n]
-    (all block sizes, singletons included).
+    (all block sizes, singletons included), each base scaled by the integer
+    n!/b! and the sum divided by n! once.
     """
-    _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
 
     def bases():
-        for blocks in _set_partitions(n):
-            sp = SetPartition(n, blocks)
-            if is_noncrossing(sp):
-                k, edges = sp.block_count, nesting_forest(sp).edges
-                yield edges, _coloring_histogram(edges, k), Fraction(1, factorial(k)), k
+        for sp in enumerate_nc(n, override_limits=override_limits):
+            k, edges = sp.block_count, nesting_forest(sp).edges
+            yield edges, _coloring_histogram(edges, k), factorial(n) // factorial(k), k
 
-    return _coloring_sum(bases())
+    return _coloring_sum(bases()) / factorial(n)
 
 
 # -- pyramid factorizations ----------------------------------------------------------

@@ -33,8 +33,8 @@ from .algebra import MultiPoly, _check_size
 # positions, not blocks.  Pair enumeration handles [2n] up to 14 by default:
 # Catalan(7) = 429 bases for the coloring sums, which count each base's
 # colorings without listing them, and 7! * 429 = 2,162,160 rows for the
-# ordered listing.  General partitions go up to n = 8 (Bell(8) = 4140 bases
-# before filtering).
+# ordered listing.  General partitions go up to n = 8 (Catalan(8) = 1430
+# bases, generated directly).
 PAIR_ENUM_LIMIT = 14
 GENERAL_ENUM_LIMIT = 8
 
@@ -186,8 +186,38 @@ def _nc_pairings(slots: tuple) -> Iterator[tuple]:
                 yield ((a, b),) + pi + po
 
 
+def _nc_partitions(n: int) -> Iterator[tuple]:
+    """All non-crossing partitions of [n]; blocks emerge sorted by minimum.
+
+    ``growing`` holds the blocks that can still take an element, innermost
+    last.  x either joins one of them, which closes for good every block
+    above it (a later element there would cross x's block), or opens a new
+    block on top.  The order is that of filtering ``_set_partitions``.
+    """
+    blocks: list = []
+
+    def rec(x: int, growing: tuple):
+        if x > n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for depth, bi in enumerate(growing, 1):
+            b = blocks[bi]
+            b.append(x)
+            yield from rec(x + 1, growing[:depth])
+            b.pop()
+        blocks.append([x])
+        yield from rec(x + 1, growing + (len(blocks) - 1,))
+        blocks.pop()
+
+    yield from rec(1, ())
+
+
 def _set_partitions(n: int) -> Iterator[tuple]:
-    """All set partitions of [n]; blocks emerge sorted by minimum."""
+    """All set partitions of [n]; blocks emerge sorted by minimum.
+
+    Nothing in the package calls it: ``moments`` binds it only for
+    perfbench/spans.py, which wraps it there by name (ROADMAP item 1).
+    """
     blocks: list = []
 
     def rec(x: int):
@@ -214,11 +244,7 @@ def enumerate_nc(n: int, pair_only: bool = False, override_limits: bool = False)
         found = [SetPartition(n, blocks) for blocks in _nc_pairings(tuple(range(1, n + 1)))]
     else:
         _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
-        found = [
-            SetPartition(n, blocks)
-            for blocks in _set_partitions(n)
-            if is_noncrossing(SetPartition(n, blocks))
-        ]
+        found = [SetPartition(n, blocks) for blocks in _nc_partitions(n)]
     found.sort(key=lambda sp: sp.blocks)
     yield from found
 

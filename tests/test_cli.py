@@ -352,6 +352,21 @@ def test_benchmark_coloring_counter_keeps_its_meaning():
     assert int(proc.stdout) == plain + grouped
 
 
+def test_benchmark_tracer_sees_the_compound_bases():
+    # poisson_moment streams its bases through the enumerate_nc binding the tracer wraps
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    code = (
+        "import spans; tracer = spans.Tracer(); spans.install(tracer)\n"
+        "from onckesten import moments\n"
+        "moments.poisson_moment(6)\n"
+        "print(tracer.counts['partitions.bases'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 132  # Catalan(6)
+
+
 def test_benchmark_operator_counter_sees_every_fock_step():
     # the traced run counts every create, annihilate and gauge call, whichever routine makes it
     root = Path(__file__).resolve().parents[1]

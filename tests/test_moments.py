@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from onckesten.algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO
+from onckesten.fock import poisson_moment_by_operators
 from onckesten.moments import (
     _coloring_histogram,
     _div_by_x_minus_2,
@@ -500,3 +501,15 @@ def test_poisson_moment_free_specialization_counts_ordered_partitions():
         assert got == sum(
             1 for _ in oracles.nc_partitions(n)
         ) == count and count == catalan(n)
+
+
+def test_poisson_moment_past_the_limit_equals_the_operator_route():
+    assert poisson_moment(9, override_limits=True) == poisson_moment_by_operators(9)
+
+
+def test_poisson_moment_past_the_limit_is_narayana_at_p_equal_q_equal_1():
+    # p = q = 1 is the free Poisson law: T^k carries the Narayana number N(10, k)
+    coeffs = poisson_moment(10, override_limits=True).t_coefficients()
+    assert {k: c.evaluate(1, 1) for k, c in coeffs.items()} == {
+        k: math.comb(10, k) * math.comb(10, k - 1) // 10 for k in range(1, 11)
+    }

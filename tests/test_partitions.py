@@ -17,6 +17,7 @@ from onckesten.partitions import (
     OrderedPartition,
     PAIR_ENUM_LIMIT,
     SetPartition,
+    _nc_partitions,
     disorder_order_counts,
     enumerate_nc,
     enumerate_ordered,
@@ -155,6 +156,19 @@ def test_enumerate_against_oracle_sets():
     for n in range(1, 5):
         ours = {sp.blocks for sp in enumerate_nc(2 * n, pair_only=True)}
         assert ours == set(oracles.nc_pair_partitions(2 * n))
+
+
+def test_general_enumeration_is_the_sorted_oracle_listing():
+    # canonical order, not only the same set: the generator's own order is not lexicographic
+    for n in range(1, 10):
+        listing = [sp.blocks for sp in enumerate_nc(n, override_limits=True)]
+        assert listing == sorted(oracles.nc_partitions(n)), n
+
+
+def test_nc_partition_generator_yields_catalan_distinct_partitions():
+    for n in range(0, 11):
+        found = list(_nc_partitions(n))
+        assert len(found) == len(set(found)) == catalan(n), n
 
 
 def test_monotone_colorings_count_double_factorial():
