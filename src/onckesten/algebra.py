@@ -345,6 +345,8 @@ class UniPoly:
             return UniPoly([c * f for c in self._coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
+        if (ONE,) in (self._coeffs, other._coeffs):  # a factor of 1: the other one, as it is immutable
+            return other if self._coeffs == (ONE,) else self
         if self.is_zero or other.is_zero:
             return UniPoly()
         out = [ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)

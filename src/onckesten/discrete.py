@@ -117,7 +117,7 @@ def clt_moment(N: int, n: int, override_limits: bool = False) -> MultiPoly:
 
 def clt_leading_term(n: int, override_limits: bool = False) -> MultiPoly:
     """Limit of phi(S_N^n) as N grows: D_{n/2} / (n/2)! for even n, else zero."""
-    if n % 2:
+    if n % 2 and n > 0:  # an order below 1 is left for the size check to reject
         return ZERO
     _check_size("CLT moment", n, CLT_MOMENT_LIMIT, override_limits)
     half = n // 2

@@ -37,6 +37,10 @@ annihilators shorten a word, by one factor each, and gauges keep its length,
 so after every step the walk drops each word longer than the number of
 shortening steps still to come: such a word never reaches the vacuum, and
 dropping it is exact.
+
+Operators build their outputs with the trusted ``FockVector._make``, and the
+checking ``FockVector(...)`` serves callers: only a caller's zero polynomial
+could make a zero cell, and ``create``, ``annihilate`` and ``gauge`` check it.
 """
 
 from __future__ import annotations
@@ -100,12 +104,15 @@ class FockVector:
         self.terms = clean
 
     @classmethod
-    def unit(cls) -> "FockVector":
-        return cls(ONE, {})
+    def _make(cls, vacuum: MultiPoly, terms: dict) -> "FockVector":
+        # trusted constructor: MultiPoly values, no zero coefficient or cell
+        self = object.__new__(cls)
+        self.vacuum, self.terms = vacuum, terms
+        return self
 
     @classmethod
-    def zero(cls) -> "FockVector":
-        return cls(ZERO, {})
+    def unit(cls) -> "FockVector":
+        return cls._make(ONE, {})
 
     @property
     def is_zero(self) -> bool:
@@ -115,13 +122,11 @@ class FockVector:
         out = dict(self.terms)
         for word, c in other.terms.items():
             _bump(out, word, c)
-        return FockVector(self.vacuum + other.vacuum, out)
+        return FockVector._make(self.vacuum + other.vacuum, out)
 
     def scale(self, factor) -> "FockVector":
         f = as_multipoly(factor)
-        if f.is_zero:
-            return FockVector.zero()
-        return FockVector(self.vacuum * f, {w: c * f for w, c in self.terms.items()})
+        return FockVector._make(self.vacuum * f, {w: c * f for w, c in self.terms.items() if not f.is_zero})
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
@@ -201,25 +206,25 @@ class FockEngine:
     def create(self, f, v: FockVector) -> FockVector:
         """a(f): prepend the cell to every word; the vacuum becomes the word (f)."""
         cell = self._as_cell(f)
-        out: dict = {}
+        if cell.poly.is_zero:  # the only way a zero cell could enter a word
+            return FockVector._make(ZERO, {})
+        out = {(cell,) + word: c for word, c in v.terms.items()}
         if not v.vacuum.is_zero:
-            _bump(out, (cell,), v.vacuum)
-        for word, c in v.terms.items():
-            _bump(out, (cell,) + word, c)
-        return FockVector(ZERO, out)
+            out[(cell,)] = v.vacuum
+        return FockVector._make(ZERO, out)
 
     def annihilate(self, f, v: FockVector) -> FockVector:
         """a*(f): pair the first factor against f through the ordering kernel."""
         cell = self._as_cell(f)
+        if cell.poly.is_zero:
+            return FockVector._make(ZERO, {})
         i = cell.interval
-        unit = cell is self._indicators[i]  # the indicator's poly is 1: fold the head as it is
         vac = ZERO
         out: dict = {}
         for word, c in v.terms.items():
             if word[0].interval == i:  # otherwise disjoint supports: the overlap integral vanishes
-                head = word[0].poly if unit else word[0].poly * cell.poly
-                vac = vac + self._fold(i, head, word[1:], c, out)
-        return FockVector(vac, out)
+                vac = vac + self._fold(i, word[0].poly * cell.poly, word[1:], c, out)
+        return FockVector._make(vac, out)
 
     def _fold(self, i: int, integrand: UniPoly, word: tuple, c: MultiPoly, out: dict) -> MultiPoly:
         """Fold the integral of ``integrand`` over cell i into the head of ``word``.
@@ -248,13 +253,11 @@ class FockEngine:
         """
         i = self._check_index(i)
         vac = v.vacuum * as_multipoly(vacuum_factor)
-        out: dict = {}
-        for word, c in v.terms.items():
-            first = word[0]
-            if first.interval != i:
-                continue
-            _bump(out, (CellFunction(i, h * first.poly),) + word[1:], c)
-        return FockVector(vac, out)
+        if h.is_zero:
+            return FockVector._make(vac, {})
+        # a nonzero h keeps distinct words distinct, so no two terms collide
+        out = {(CellFunction(i, h * word[0].poly),) + word[1:]: c for word, c in v.terms.items() if word[0].interval == i}
+        return FockVector._make(vac, out)
 
     def gauge_pair(self, f, g, v: FockVector) -> FockVector:
         """M(f, g) = a*(g) a(f), a piecewise gauge.
@@ -268,7 +271,7 @@ class FockEngine:
     def gauge_m(self, v: FockVector) -> FockVector:
         """Plain gauge on [0, T]: identity on words, kills the vacuum."""
         self._require_symbolic()
-        return FockVector(ZERO, v.terms)  # every word starts on the only cell, 0
+        return FockVector._make(ZERO, dict(v.terms))  # every word starts on the only cell, 0
 
     def gauge_n(self, v: FockVector) -> FockVector:
         """Truncated number operator: multiply by qT + (p-q)x, T on the vacuum."""

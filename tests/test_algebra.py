@@ -193,6 +193,15 @@ def test_unipoly_arithmetic_and_antiderivative():
     assert UniPoly([]).is_zero
 
 
+def test_unipoly_product_by_one_returns_the_other_factor():
+    one = UniPoly.one()
+    for x in (UniPoly([Q, ONE, P]), UniPoly([T]), UniPoly([ONE + ONE])):
+        assert x * one is x
+        assert one * x is x
+    assert (one * UniPoly()).is_zero
+    assert (UniPoly() * one).is_zero
+
+
 def test_unipoly_trailing_zeros_are_stripped():
     assert UniPoly([ONE, ZERO]).coeffs == (ONE,)
     assert UniPoly([ZERO, ZERO]) == UniPoly([])

@@ -131,7 +131,7 @@ def test_limit_guards():
     for N, n in ((10, 0), (10, CLT_MOMENT_LIMIT + 1), (10, CLT_MOMENT_LIMIT + 2), (0, 2)):
         with pytest.raises(ValueError):
             clt_moment(N, n)
-    for n in (-2, 0, CLT_MOMENT_LIMIT + 2):
+    for n in (-3, -2, -1, 0, CLT_MOMENT_LIMIT + 2):
         with pytest.raises(ValueError):
             clt_leading_term(n)
     # odd orders are zero before any size check

@@ -179,6 +179,81 @@ def _random_vector(engine: FockEngine, rng: random.Random, symbolic: bool) -> Fo
     return v
 
 
+def _rand_cell_function(engine: FockEngine, rng: random.Random) -> CellFunction:
+    coeffs = [MultiPoly.monomial(F(rng.randint(-2, 2)), rng.randint(0, 1)) for _ in range(rng.randint(1, 2))]
+    return CellFunction(rng.randrange(len(engine.intervals)), UniPoly(coeffs + [ONE]))
+
+
+def _operator_outputs(engine: FockEngine, rng: random.Random, v: FockVector):
+    """(name, thunk) for every operator applied to v with random arguments."""
+    f, g = _rand_cell_function(engine, rng), _rand_cell_function(engine, rng)
+    i = rng.randrange(len(engine.intervals))
+    h = UniPoly([MultiPoly.monomial(F(rng.randint(1, 3)), 0, 1), P])
+    other = _random_vector(engine, rng, symbolic=engine.symbolic)
+    yield "create", lambda: engine.create(f, v)
+    yield "annihilate", lambda: engine.annihilate(f, v)
+    yield "annihilate-indicator", lambda: engine.annihilate(i, v)
+    yield "gauge", lambda: engine.gauge(i, h, P, v)
+    yield "gauge_pair", lambda: engine.gauge_pair(f, g, v)
+    yield "omega", lambda: engine.omega(i, v)
+    yield "add", lambda: v.add(other)
+    yield "add-cancelling", lambda: v.add(v.scale(-ONE))
+    yield "scale", lambda: v.scale(P - Q)
+    yield "scale-zero", lambda: v.scale(ZERO)
+    if engine.symbolic:
+        yield "gauge_m", lambda: engine.gauge_m(v)
+        yield "gauge_n", lambda: engine.gauge_n(v)
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["two-intervals", "symbolic"])
+def test_operator_outputs_keep_the_trusted_invariant(symbolic):
+    # every output is what the checking constructor would build from it, and no input is touched
+    engine = FockEngine.poisson() if symbolic else FockEngine.brownian([(0, 1), (2, F(7, 2))])
+    rng = random.Random(53)
+    for _ in range(15):
+        v = _random_vector(engine, rng, symbolic)
+        before = (v.vacuum, dict(v.terms))
+        for name, op in _operator_outputs(engine, rng, v):
+            out = op()
+            assert out == FockVector(out.vacuum, out.terms), name
+            assert isinstance(out.vacuum, MultiPoly), name
+            for word, c in out.terms.items():
+                assert isinstance(c, MultiPoly) and not c.is_zero, name
+                assert not any(cell.poly.is_zero for cell in word), name
+            assert (v.vacuum, v.terms) == before and out.terms is not v.terms, name
+
+
+def test_moment_drivers_never_call_the_checking_constructor(monkeypatch):
+    sig = IntervalSignature((F(1), F(2)), (0, 1, 1, 0))
+    engine = FockEngine.poisson()
+    tags = parse_word("a*na*maa")
+    want = (position_moment(sig), poisson_moment_by_operators(5), engine.word_vacuum_moment(tags))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an operator output went through the checking constructor")
+
+    monkeypatch.setattr(FockVector, "__init__", refuse)
+    assert (position_moment(sig), poisson_moment_by_operators(5), engine.word_vacuum_moment(tags)) == want
+
+
+def test_zero_caller_polynomial_gives_the_zero_result():
+    # without the entry checks, a zero f or h would leave words with a zero cell
+    engine = FockEngine.brownian([(0, 1), (2, 3)])
+    chi0, chi1 = engine.indicator(0), engine.indicator(1)
+    # (chi0, chi0): the next cell is on the annihilated interval, so the fold makes a ramp
+    v = FockVector(P, {(chi0, chi0): ONE, (chi0, chi1): Q, (chi1,): P + Q, (chi0,): T})
+    zero = CellFunction(0, UniPoly())
+    assert engine.create(zero, v) == FockVector()
+    assert engine.annihilate(zero, v) == FockVector()
+    assert engine.gauge(0, UniPoly(), _c(3), v) == FockVector(P * 3, {})
+    assert engine.gauge(1, UniPoly(), ZERO, v) == FockVector()
+    symbolic = FockEngine.poisson()
+    w = symbolic.create(0, symbolic.create(CellFunction(0, UniPoly([T, P])), FockVector.unit()))
+    assert symbolic.create(CellFunction(0, UniPoly()), w).is_zero
+    assert symbolic.annihilate(CellFunction(0, UniPoly()), w).is_zero
+    assert symbolic.gauge(0, UniPoly(), T, w) == FockVector()
+
+
 def test_gauge_pair_of_indicator_is_piecewise_gauge():
     # reference sharing no code with the fold: the ramp (p-q)x + q*hi - p*lo
     # on cell i through `gauge`, p*lambda_i (q*lambda_i) on words that start
