@@ -107,9 +107,10 @@ class MultiPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = as_multipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.constant(other)
         if not self._num:  # accumulations start at ZERO; values are immutable
             return other
         da, db = self._den, other._den
@@ -131,10 +132,9 @@ class MultiPoly:
         return MultiPoly._make({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        other = as_multipoly(other)
-        if other is NotImplemented:
+        if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        return self + (-other)
+        return self + (-as_multipoly(other))
 
     def __rsub__(self, other):
         return as_multipoly(other) - self
@@ -239,7 +239,7 @@ def as_multipoly(x) -> MultiPoly:
         return x
     if isinstance(x, (int, Fraction)):
         return MultiPoly.constant(x)
-    return NotImplemented
+    raise TypeError(f"expected a MultiPoly, int or Fraction, got {type(x).__name__}")
 
 
 def lift_to_pq(coeffs: Sequence) -> MultiPoly:

@@ -1,11 +1,12 @@
 """Discrete interacting Fock space over index sequences, and the exact CLT.
 
 One position operator omega_i = A_i + A*_i per index i, acting on the span
-of the vacuum and of finite index words.  A_i prepends the letter i; its
-adjoint removes a matching first letter and folds in the ordering kernel
-against the next one:
+of finite index words, in which the vacuum Omega is the empty word ().
+A_i prepends the letter i to every word, Omega included; its adjoint
+removes a matching first letter and folds in the ordering kernel against
+the next one, and kills every word that does not start with i:
 
-    A*_i (i, j, rest) = w(i, j) . (j, rest),    A*_i (i,) = Omega,
+    A*_i (i, j, rest) = w(i, j) . (j, rest),    A*_i (i,) = (),
     w(i, j) = p if i < j,  q if i > j,  1 if i = j.
 
 Moments of normalized sums S_N = (omega_1 + ... + omega_N) / sqrt(N) depend
@@ -42,22 +43,16 @@ def kernel_weight(i: int, j: int) -> MultiPoly:
 
 def discrete_word_moment(indices: Sequence[int]) -> MultiPoly:
     """Vacuum expectation of omega_{i_1} ... omega_{i_n} (rightmost acts first)."""
-    vac = ONE
-    words: dict = {}
+    state = {(): ONE}  # word -> amplitude; the vacuum is the empty word
     for i in reversed(tuple(indices)):
-        new_vac = ZERO
-        new_words: dict = {}
-        if not vac.is_zero:  # A_i on the vacuum
-            _bump(new_words, (i,), vac)
-        for word, c in words.items():
-            _bump(new_words, (i,) + word, c)  # A_i
-            if word[0] == i:  # A*_i
-                if len(word) == 1:
-                    new_vac = new_vac + c
-                else:
-                    _bump(new_words, word[1:], c * kernel_weight(i, word[1]))
-        vac, words = new_vac, new_words
-    return vac
+        new: dict = {}
+        for word, c in state.items():
+            _bump(new, (i,) + word, c)  # A_i
+            if word and word[0] == i:  # A*_i
+                rest = word[1:]
+                _bump(new, rest, c * kernel_weight(i, rest[0]) if rest else c)
+        state = new
+    return state.get((), ZERO)
 
 
 def _rgs(n: int) -> Iterator[Tuple[int, ...]]:

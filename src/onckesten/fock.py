@@ -73,12 +73,6 @@ class Interval:
     def symbolic(self) -> bool:
         return self.hi is None
 
-    def lo_poly(self) -> MultiPoly:
-        return MultiPoly.constant(self.lo)
-
-    def hi_poly(self) -> MultiPoly:
-        return T if self.hi is None else MultiPoly.constant(self.hi)
-
 
 @dataclass(frozen=True)
 class CellFunction:
@@ -159,6 +153,8 @@ class FockEngine:
             if b.lo < a.hi:
                 raise ValueError("intervals overlap; interiors must be disjoint, with a shared interval registered once")
         self._indicators = tuple(CellFunction(i, UniPoly.one()) for i in range(len(self.intervals)))
+        self._bounds = tuple((MultiPoly.constant(iv.lo), T if iv.symbolic else MultiPoly.constant(iv.hi))
+                             for iv in self.intervals)
 
     @classmethod
     def brownian(cls, endpoints: Iterable) -> "FockEngine":
@@ -232,9 +228,8 @@ class FockEngine:
         Bumps ``c`` times the folded word into ``out`` and returns the vacuum
         amplitude, which is nonzero only for the empty word.
         """
-        iv = self.intervals[i]
         g = integrand.antiderivative()
-        g_lo, g_hi = g.eval_poly(iv.lo_poly()), g.eval_poly(iv.hi_poly())
+        g_lo, g_hi = (g.eval_poly(b) for b in self._bounds[i])
         if not word:
             return c * (g_hi - g_lo)
         head = word[0]

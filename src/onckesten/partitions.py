@@ -22,6 +22,7 @@ the enumeration limits below, overridable by flag.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,36 +112,29 @@ class NestingForest:
 def nesting_forest(sp: SetPartition) -> NestingForest:
     """Parent of each block = innermost block still open when it starts.
 
-    Single left-to-right sweep with a stack of open blocks; a non-crossing
-    violation surfaces as a block resurfacing while not on top of the stack.
+    Requires the ``SetPartition`` invariant that ``from_blocks`` and every
+    generator meet: blocks ascend by minimum and each block ascends.  One
+    stack of open blocks, innermost last; a block crosses its parent exactly
+    when the parent has an element strictly inside the block's span.
     """
-    k = sp.block_count
-    block_of = {}
-    last = {}
-    for bi, b in enumerate(sp.blocks):
-        for x in b:
-            block_of[x] = bi
-        last[bi] = b[-1]
-    parent: list = [None] * k
+    blocks = sp.blocks
+    parent: list = []
     stack: list = []
-    opened = [False] * k
-    for x in range(1, sp.n + 1):
-        b = block_of[x]
-        if opened[b]:
-            if not stack or stack[-1] != b:
-                raise ValueError(f"partition is not non-crossing: {sp}")
-        else:
-            opened[b] = True
-            parent[b] = stack[-1] if stack else None
-            stack.append(b)
-        if x == last[b]:
+    for bi, b in enumerate(blocks):
+        while stack and blocks[stack[-1]][-1] < b[0]:
             stack.pop()
-    edges = tuple((parent[c], c) for c in range(k) if parent[c] is not None)
+        if stack:
+            a = blocks[stack[-1]]
+            if a[bisect(a, b[0])] < b[-1]:
+                raise ValueError(f"partition is not non-crossing: {sp}")
+        parent.append(stack[-1] if stack else None)
+        stack.append(bi)
+    edges = tuple((pa, c) for c, pa in enumerate(parent) if pa is not None)
     return NestingForest(parent=tuple(parent), edges=edges)
 
 
 def is_noncrossing(sp: SetPartition) -> bool:
-    """No quadruple k < m < k' < m' across blocks: the nesting sweep completes."""
+    """No quadruple k < m < k' < m' across blocks: ``nesting_forest`` completes."""
     try:
         nesting_forest(sp)
     except ValueError:
@@ -174,6 +168,8 @@ def _nc_pairings(slots: tuple) -> Iterator[tuple]:
 
     Pair the first slot with a partner at odd offset; the enclosed and the
     trailing segments pair independently, which is exactly non-crossingness.
+    The partner ascends and each segment recurses in order, so the pairings
+    come in canonical order; an odd run yields none.
     """
     if not slots:
         yield ()
@@ -192,7 +188,8 @@ def _nc_partitions(n: int) -> Iterator[tuple]:
     ``growing`` holds the blocks that can still take an element, innermost
     last.  x either joins one of them, which closes for good every block
     above it (a later element there would cross x's block), or opens a new
-    block on top.  The order is that of filtering ``_set_partitions``.
+    block on top.  Joining comes before opening, so {1,2,3} precedes
+    {1,2},{3}: the order is not lexicographic, and ``enumerate_nc`` sorts.
     """
     blocks: list = []
 
@@ -237,16 +234,13 @@ def _set_partitions(n: int) -> Iterator[tuple]:
 
 def enumerate_nc(n: int, pair_only: bool = False, override_limits: bool = False) -> Iterator[SetPartition]:
     """Non-crossing (pair) partitions of [n] in canonical order."""
-    if pair_only:
+    if pair_only:  # streamed: _nc_pairings yields canonical order, and nothing for odd n
         _check_size("pair enumeration", n, PAIR_ENUM_LIMIT, override_limits)
-        if n % 2:
-            return
-        found = [SetPartition(n, blocks) for blocks in _nc_pairings(tuple(range(1, n + 1)))]
-    else:
-        _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
-        found = [SetPartition(n, blocks) for blocks in _nc_partitions(n)]
-    found.sort(key=lambda sp: sp.blocks)
-    yield from found
+        for blocks in _nc_pairings(tuple(range(1, n + 1))):
+            yield SetPartition(n, blocks)
+        return
+    _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
+    yield from sorted((SetPartition(n, blocks) for blocks in _nc_partitions(n)), key=lambda sp: sp.blocks)
 
 
 def enumerate_ordered(

@@ -20,6 +20,7 @@ from onckesten.algebra import (
     as_multipoly,
     lift_to_pq,
 )
+from onckesten.fock import FockVector
 
 F = Fraction
 
@@ -200,6 +201,16 @@ def test_unipoly_product_by_one_returns_the_other_factor():
         assert one * x is x
     assert (one * UniPoly()).is_zero
     assert (UniPoly() * one).is_zero
+
+
+def test_constructors_reject_what_is_not_a_polynomial():
+    # as_multipoly raises for anything but MultiPoly, int and Fraction, so no
+    # constructor stores NotImplemented; MultiPoly + UniPoly still defers to UniPoly
+    for build in (lambda: FockVector("x"), lambda: PowerSeries(["x"], 1), lambda: UniPoly(["x"]),
+                  lambda: lift_to_pq(["x"])):
+        with pytest.raises(TypeError):
+            build()
+    assert P + UniPoly([1]) == UniPoly([ONE + P])
 
 
 def test_unipoly_trailing_zeros_are_stripped():

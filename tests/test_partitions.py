@@ -63,15 +63,15 @@ def test_ordered_partition_coloring_order():
 # -- crossing and nesting vs the oracle -------------------------------------------------
 
 
-def test_noncrossing_matches_quadruple_scan_through_n7():
-    for n in range(1, 8):
+def test_noncrossing_matches_quadruple_scan_through_n8():
+    for n in range(1, 9):
         for blocks in oracles.set_partitions(n):
             sp = _sp(n, blocks)
             assert is_noncrossing(sp) == (not oracles.crosses(blocks)), blocks
 
 
-def test_nesting_forest_matches_enclosure_oracle_through_n7():
-    for n in range(1, 8):
+def test_nesting_forest_matches_enclosure_oracle_through_n8():
+    for n in range(1, 9):
         for blocks in oracles.nc_partitions(n):
             sp = _sp(n, blocks)
             forest = nesting_forest(sp)
@@ -163,6 +163,19 @@ def test_general_enumeration_is_the_sorted_oracle_listing():
     for n in range(1, 10):
         listing = [sp.blocks for sp in enumerate_nc(n, override_limits=True)]
         assert listing == sorted(oracles.nc_partitions(n)), n
+    # the pair listing streams _nc_pairings unsorted, so its own order must be canonical
+    for n in range(1, 9):
+        listing = [sp.blocks for sp in enumerate_nc(2 * n, pair_only=True, override_limits=True)]
+        if n <= 5:
+            assert listing == sorted(oracles.nc_pair_partitions(2 * n)), n
+        else:
+            # the oracle filters all Bell(2n) set partitions, 10^10 at 2n = 16: Catalan(n)
+            # distinct non-crossing pair partitions in ascending order are its sorted listing
+            assert len(listing) == catalan(n) and listing == sorted(set(listing)), n
+            for bs in listing:
+                assert sorted(x for b in bs for x in b) == list(range(1, 2 * n + 1)), bs
+                assert bs == tuple(sorted(bs)) and all(len(b) == 2 and b[0] < b[1] for b in bs), bs
+                assert not oracles.crosses(bs), bs
 
 
 def test_nc_partition_generator_yields_catalan_distinct_partitions():
