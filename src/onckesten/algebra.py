@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: polynomials in (p, q, T) and truncated series.
+"""Exact arithmetic kernel: polynomials in (p, q, T) and in one more coordinate.
 
 Every quantity downstream -- partition weights, moment sequences, operator
 amplitudes -- is a polynomial in the two deformation parameters p, q and an
@@ -9,7 +9,6 @@ shared value types:
                    kept as int numerators over one common denominator
 * ``UniPoly``      polynomial in one extra coordinate x with MultiPoly
                    coefficients (integrands living on interval cells)
-* ``PowerSeries``  truncated power series in z with MultiPoly coefficients
 
 Nothing here ever rounds.  All values are immutable and hashable, so they can
 serve as dictionary keys (the Fock simulator keys its state on words of cell
@@ -339,6 +338,9 @@ class UniPoly:
             other = UniPoly.constant(other)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
             f = as_multipoly(other)
@@ -395,124 +397,3 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self})"
-
-
-class PowerSeries:
-    """Power series truncated at a known order, coefficients in MultiPoly.
-
-    The truncation order is carried on the value; binary operations return a
-    series with the minimum of the two orders, so agreement claims are always
-    about coefficients both operands actually know.
-    """
-
-    __slots__ = ("_coeffs", "_order")
-
-    def __init__(self, coeffs: Sequence, order: int):
-        cs = [as_multipoly(c) for c in coeffs]
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        cs = cs[: order + 1]
-        cs += [ZERO] * (order + 1 - len(cs))
-        self._coeffs = tuple(cs)
-        self._order = order
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def coeffs(self):
-        return self._coeffs
-
-    def coeff(self, k: int) -> MultiPoly:
-        if not 0 <= k <= self._order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self._order}")
-        return self._coeffs[k]
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = PowerSeries([other], self._order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self._order, other._order)
-        return PowerSeries([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)], n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeries([-c for c in self._coeffs], self._order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = PowerSeries([other], self._order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            f = as_multipoly(other)
-            return PowerSeries([c * f for c in self._coeffs], self._order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self._order, other._order)
-        out = [ZERO] * (n + 1)
-        for i in range(n + 1):
-            a = self._coeffs[i]
-            if a.is_zero:
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(out, n)
-
-    __rmul__ = __mul__
-
-    def shift(self) -> "PowerSeries":
-        """Multiply by z; the shifted coefficients are known one order further."""
-        return PowerSeries((ZERO,) + self._coeffs, self._order + 1)
-
-    def differentiate(self) -> "PowerSeries":
-        if self._order == 0:
-            raise ValueError("cannot differentiate a series of order 0")
-        return PowerSeries(
-            [self._coeffs[k] * k for k in range(1, self._order + 1)], self._order - 1
-        )
-
-    def sqrt(self) -> "PowerSeries":
-        if self._coeffs[0] != ONE:
-            raise ValueError("series square root requires constant term 1")
-        out = [ONE]
-        for n in range(1, self._order + 1):
-            s = ZERO
-            for k in range(1, n):
-                s = s + out[k] * out[n - k]
-            out.append((self._coeffs[n] - s) / 2)
-        return PowerSeries(out, self._order)
-
-    def agrees_through(self, other: "PowerSeries"):
-        """First index where the two series differ, or None if they agree
-        through the smaller truncation."""
-        for k in range(min(self._order, other._order) + 1):
-            if self._coeffs[k] != other._coeffs[k]:
-                return k
-        return None
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash((self._order, self._coeffs))
-
-    def __str__(self):
-        body = ", ".join(str(c) for c in self._coeffs)
-        return f"[{body}] + O(z^{self._order + 1})"
-
-    def __repr__(self):
-        return f"PowerSeries({self})"

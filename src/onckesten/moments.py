@@ -44,7 +44,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, PowerSeries, Q, UniPoly, ZERO, _check_size, lift_to_pq
+from .algebra import MultiPoly, ONE, P, Q, UniPoly, ZERO, _check_size, lift_to_pq
 from .partitions import (
     PAIR_ENUM_LIMIT,
     IntervalSignature,
@@ -180,7 +180,7 @@ def _coloring_sum(bases: Iterable) -> MultiPoly:
 def _pair_sum(n: int, override_limits: bool, covered_only: bool = False) -> MultiPoly:
     """Weight sum over ordered (covered) non-crossing pair partitions of [2n]."""
     _check_size("pair enumeration of [2n]", n, PAIR_ENUM_LIMIT // 2, override_limits)
-    bases = (SetPartition(2 * n, blocks) for blocks in _nc_pairings(tuple(range(1, 2 * n + 1))))
+    bases = (SetPartition._make(2 * n, blocks) for blocks in _nc_pairings(tuple(range(1, 2 * n + 1))))
     forests = (nesting_forest(sp).edges for sp in bases if not covered_only or sp.is_covered)
     return _coloring_sum((edges, _coloring_histogram(edges, n), 1, 0) for edges in forests)
 
@@ -277,18 +277,17 @@ def r_by_closed_form(order: int) -> list:
     """Coefficients r_0..r_order of (s-1-sqrt(1-2sz)) / (s-2+2z), s = p+q.
 
     Runs in one variable x = s: the z^n coefficient of the numerator is
-    [n = 0](x-1) - b_n x^n with b_n the constants of sqrt(1-2w), and
-    (x-2) r_n + 2 r_(n-1) matches it.  Every division by x-2 is checked to
-    be exact, i.e. every r_n is a genuine polynomial; each is lifted to
-    (p, q) once, at x = p+q.
+    [n = 0](x-1) - b_n x^n with b_n = -C(2n, n) / (2^n (2n-1)) the z^n
+    coefficient of sqrt(1-2z), and (x-2) r_n + 2 r_(n-1) matches it.  Every
+    division by x-2 is checked to be exact, i.e. every r_n is a genuine
+    polynomial; each is lifted to (p, q) once, at x = p+q.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    root = PowerSeries([ONE, MultiPoly.constant(-2)], order).sqrt()
     out: list = []
     prev = UniPoly()
     for n in range(order + 1):
-        numer = UniPoly([ZERO] * n + [-root.coeff(n)])
+        numer = UniPoly([ZERO] * n + [Fraction(comb(2 * n, n), 2**n * (2 * n - 1))])
         if n == 0:
             numer = numer + UniPoly([-1, 1])
         prev = _div_by_x_minus_2(numer - prev * 2)
@@ -382,13 +381,24 @@ class IdentityCheck:
     detail: str = ""
 
 
-def _expect_agreement(name: str, lhs: PowerSeries, rhs: PowerSeries) -> IdentityCheck:
-    k = lhs.agrees_through(rhs)
-    if k is not None:
-        raise MomentMismatchError(
-            f"{name}: first mismatch at z^{k}: {lhs.coeff(k)} != {rhs.coeff(k)}"
-        )
+def _expect_agreement(name: str, lhs: Sequence, rhs: Sequence) -> IdentityCheck:
+    for k, (x, y) in enumerate(zip(lhs, rhs)):
+        if x != y:
+            raise MomentMismatchError(f"{name}: first mismatch at z^{k}: {x} != {y}")
     return IdentityCheck(name=name, passed=True)
+
+
+def _times(a: Sequence, b: Sequence) -> list:
+    """Cauchy product of two truncated series, known through the shorter one."""
+    n = min(len(a), len(b))
+    out = [ZERO] * n
+    for i, x in enumerate(a[:n]):
+        if x.is_zero:
+            continue
+        for j, y in enumerate(b[: n - i]):
+            if not y.is_zero:
+                out[i + j] = out[i + j] + x * y
+    return out
 
 
 def series_identity_checks(order: int) -> list:
@@ -397,52 +407,46 @@ def series_identity_checks(order: int) -> list:
     Checks R*(1-S) = 1, A*(1-pS) = 1, S^(r) = S^r, and the differential
     recurrence (S^(r))' = r S^(r-1) A + 2qz (S^(r))' A - qr A S^(r), the
     last two for r <= 3: seven checks in all.
+    A series is a sequence of MultiPoly coefficients, known through its
+    length: sums, products and comparisons stop at the shorter operand, a
+    derivative is one shorter and a product by z one longer, so no check
+    claims a coefficient that one of its sides does not know.
     Raises MomentMismatchError at the first failing coefficient.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     r_max = 3
     table = sequences_by_recursion(order, r_max=r_max)
-    S = PowerSeries(table.s, order)
-    A = PowerSeries(table.a, order)
-    R = PowerSeries(table.r, order)
-    unit = PowerSeries([ONE], order)
+    S, A = table.s, table.a
+    unit = (ONE,) + (ZERO,) * order
     results = [
-        _expect_agreement("R*(1-S) = 1", R * (unit - S), unit),
-        _expect_agreement("A*(1-pS) = 1", A * (unit - S * P), unit),
+        _expect_agreement("R*(1-S) = 1", _times(table.r, [u - c for u, c in zip(unit, S)]), unit),
+        _expect_agreement("A*(1-pS) = 1", _times(A, [u - c * P for u, c in zip(unit, S)]), unit),
     ]
     powers = {0: unit, 1: S}
     for r in range(2, r_max + 1):
-        powers[r] = powers[r - 1] * S
-        results.append(
-            _expect_agreement(
-                f"S^({r}) = S^{r}", PowerSeries(table.s_rows[r], order), powers[r]
-            )
-        )
+        powers[r] = _times(powers[r - 1], S)
+        results.append(_expect_agreement(f"S^({r}) = S^{r}", table.s_rows[r], powers[r]))
     for r in range(1, r_max + 1):
-        sr = PowerSeries(table.s_rows[r], order)
-        lhs = sr.differentiate()
-        rhs = (
-            powers[r - 1] * A * r
-            + ((sr.differentiate() * A).shift()) * (Q * 2)
-            - A * sr * (Q * r)
-        )
-        results.append(
-            _expect_agreement(f"(S^({r}))' differential recurrence", lhs, rhs)
-        )
+        sr = table.s_rows[r]
+        lhs = [c * k for k, c in enumerate(sr)][1:]
+        shifted = [ZERO] + _times(lhs, A)  # z (S^(r))' A
+        two_q, r_q = Q * 2, Q * r
+        rhs = [x * r + y * two_q - w * r_q for x, y, w in zip(_times(powers[r - 1], A), shifted, _times(A, sr))]
+        results.append(_expect_agreement(f"(S^({r}))' differential recurrence", lhs, rhs))
     return results
 
 
 # -- mixed interval moments --------------------------------------------------------
 
 
-def _adapted_base(blocks: tuple, sig: IntervalSignature) -> Optional[tuple]:
+def _adapted_base(sp: SetPartition, sig: IntervalSignature) -> Optional[tuple]:
     """(edges, hist, scale, 0) of one base over its adapted colorings, or None
     if the base itself is not adapted to the signature."""
-    ranks = sig.block_intervals(blocks)
+    ranks = sig.block_intervals(sp.blocks)
     if ranks is None:
         return None
-    edges = nesting_forest(SetPartition(sig.n, blocks)).edges
+    edges = nesting_forest(sp).edges
     groups = [[] for _ in range(sig.interval_count)]
     for bi, r in enumerate(ranks):
         groups[r].append(bi)
@@ -461,8 +465,7 @@ def mixed_moment_brownian(sig: IntervalSignature, override_limits: bool = False)
     n = sig.n
     if n % 2:
         return ZERO
-    _check_size("pair enumeration", n, PAIR_ENUM_LIMIT, override_limits)
-    bases = (_adapted_base(blocks, sig) for blocks in _nc_pairings(tuple(range(1, n + 1))))
+    bases = (_adapted_base(sp, sig) for sp in enumerate_nc(n, pair_only=True, override_limits=override_limits))
     return _coloring_sum(base for base in bases if base is not None)
 
 
@@ -496,7 +499,7 @@ def word_moment_by_enumeration(stars: Sequence[bool], sig: IntervalSignature) ->
     if len(stars) != sig.n:
         raise ValueError("word length does not match signature length")
     blocks = pairing_from_stars(stars)
-    base = None if blocks is None else _adapted_base(blocks, sig)
+    base = None if blocks is None else _adapted_base(SetPartition._make(sig.n, blocks), sig)
     return ZERO if base is None else _coloring_sum([base])
 
 

@@ -40,20 +40,33 @@ PAIR_ENUM_LIMIT = 14
 GENERAL_ENUM_LIMIT = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: every generated base is one, and the forest cache keeps them
 class SetPartition:
-    """Partition of [n] into disjoint blocks, blocks sorted by minimum."""
+    """Partition of [n] into disjoint blocks, blocks sorted by minimum.
+
+    The constructor checks the invariant: the blocks partition 1..n, each
+    block is an ascending tuple and the blocks ascend by minimum."""
 
     n: int
     blocks: tuple
 
+    def __post_init__(self):
+        blocks = self.blocks
+        if sorted(x for b in blocks for x in b) != list(range(1, self.n + 1)) or not all(blocks):
+            raise ValueError(f"blocks do not partition 1..{self.n}: {blocks}")
+        if tuple(sorted(tuple(sorted(b)) for b in blocks)) != blocks:
+            raise ValueError(f"blocks must be ascending tuples, sorted by minimum: {blocks}")
+
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "SetPartition":
-        tidy = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        seen = [x for b in tidy for x in b]
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError(f"blocks do not partition 1..{n}: {blocks}")
-        return cls(n, tidy)
+        return cls(n, tuple(sorted(tuple(sorted(b)) for b in blocks)))
+
+    @classmethod
+    def _make(cls, n: int, blocks: tuple) -> "SetPartition":
+        self = object.__new__(cls)  # trusted: generated bases meet the invariant by construction
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        return self
 
     @property
     def block_count(self) -> int:
@@ -112,10 +125,10 @@ class NestingForest:
 def nesting_forest(sp: SetPartition) -> NestingForest:
     """Parent of each block = innermost block still open when it starts.
 
-    Requires the ``SetPartition`` invariant that ``from_blocks`` and every
-    generator meet: blocks ascend by minimum and each block ascends.  One
-    stack of open blocks, innermost last; a block crosses its parent exactly
-    when the parent has an element strictly inside the block's span.
+    Relies on the ``SetPartition`` invariant: blocks ascend by minimum and
+    each block ascends.  One stack of open blocks, innermost last; a block
+    crosses its parent exactly when the parent has an element strictly
+    inside the block's span.
     """
     blocks = sp.blocks
     parent: list = []
@@ -237,10 +250,10 @@ def enumerate_nc(n: int, pair_only: bool = False, override_limits: bool = False)
     if pair_only:  # streamed: _nc_pairings yields canonical order, and nothing for odd n
         _check_size("pair enumeration", n, PAIR_ENUM_LIMIT, override_limits)
         for blocks in _nc_pairings(tuple(range(1, n + 1))):
-            yield SetPartition(n, blocks)
+            yield SetPartition._make(n, blocks)
         return
     _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
-    yield from sorted((SetPartition(n, blocks) for blocks in _nc_partitions(n)), key=lambda sp: sp.blocks)
+    yield from sorted((SetPartition._make(n, blocks) for blocks in _nc_partitions(n)), key=lambda sp: sp.blocks)
 
 
 def enumerate_ordered(

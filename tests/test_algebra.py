@@ -1,4 +1,4 @@
-"""Exact-arithmetic kernel: polynomials, one-variable cells, power series."""
+"""Exact-arithmetic kernel: polynomials and one-variable cells."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from onckesten.algebra import (
     MultiPoly,
     ONE,
     P,
-    PowerSeries,
     Q,
     T,
     UniPoly,
@@ -192,6 +191,10 @@ def test_unipoly_arithmetic_and_antiderivative():
     assert anti.coeffs == (ZERO, ONE, P / F(2))
     assert anti.eval_poly(ONE) - anti.eval_poly(ZERO) == ONE + P / F(2)
     assert UniPoly([]).is_zero
+    # a scalar or MultiPoly on the left of a difference, as on the left of a sum
+    assert P - UniPoly([ONE]) == UniPoly([P - ONE])
+    assert 3 - f == UniPoly([ONE * 2, -P])
+    assert F(1, 2) - g == UniPoly([ONE / 2 - Q])
 
 
 def test_unipoly_product_by_one_returns_the_other_factor():
@@ -206,8 +209,7 @@ def test_unipoly_product_by_one_returns_the_other_factor():
 def test_constructors_reject_what_is_not_a_polynomial():
     # as_multipoly raises for anything but MultiPoly, int and Fraction, so no
     # constructor stores NotImplemented; MultiPoly + UniPoly still defers to UniPoly
-    for build in (lambda: FockVector("x"), lambda: PowerSeries(["x"], 1), lambda: UniPoly(["x"]),
-                  lambda: lift_to_pq(["x"])):
+    for build in (lambda: FockVector("x"), lambda: UniPoly(["x"]), lambda: lift_to_pq(["x"])):
         with pytest.raises(TypeError):
             build()
     assert P + UniPoly([1]) == UniPoly([ONE + P])
@@ -216,47 +218,3 @@ def test_constructors_reject_what_is_not_a_polynomial():
 def test_unipoly_trailing_zeros_are_stripped():
     assert UniPoly([ONE, ZERO]).coeffs == (ONE,)
     assert UniPoly([ZERO, ZERO]) == UniPoly([])
-
-
-# -- formal power series --------------------------------------------------------------
-
-
-def _series(*consts):
-    return PowerSeries([MultiPoly.constant(F(c)) for c in consts], len(consts) - 1)
-
-
-def test_series_sqrt_of_one_minus_two_z():
-    f = _series(1, -2, 0, 0, 0)
-    root = f.sqrt()
-    expected = [F(1), F(-1), F(-1, 2), F(-1, 2), F(-5, 8)]
-    for k, c in enumerate(expected):
-        assert root.coeff(k) == MultiPoly.constant(c)
-    assert (root * root).agrees_through(f) is None
-
-
-def test_series_sqrt_requires_constant_one():
-    with pytest.raises(ValueError):
-        _series(4, 1).sqrt()
-
-
-def test_series_shift_and_differentiate():
-    f = _series(1, 2, 3)
-    assert f.shift().coeffs[0] == ZERO and f.shift().coeff(1) == ONE
-    assert f.shift().order == f.order + 1
-    d = f.differentiate()
-    assert d.coeff(0) == MultiPoly.constant(F(2))
-    assert d.coeff(1) == MultiPoly.constant(F(6))
-    assert d.order == f.order - 1
-
-
-def test_series_agrees_through_reports_first_mismatch():
-    f = _series(1, 2, 3, 4)
-    g = _series(1, 2, 7, 4)
-    assert f.agrees_through(g) == 2
-
-
-def test_series_binary_ops_take_minimum_order():
-    f = _series(1, 1, 1)
-    g = _series(1, 1)
-    assert (f + g).order == 1
-    assert (f * g).order == 1

@@ -19,7 +19,7 @@ import pytest
 import onckesten
 
 PUBLIC = {
-    "MultiPoly", "UniPoly", "PowerSeries", "SetPartition", "OrderedPartition", "NestingForest",
+    "MultiPoly", "UniPoly", "SetPartition", "OrderedPartition", "NestingForest",
     "IntervalSignature", "enumerate_nc", "enumerate_ordered", "is_noncrossing", "nesting_forest",
     "disorder_order_counts", "weight", "is_adapted", "MomentReport", "moment_report", "r_by_enumeration",
     "r_by_closed_form", "r_by_jacobi", "r_by_delaney", "sequences_by_recursion", "series_identity_checks",

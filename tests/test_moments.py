@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,9 +11,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from onckesten import moments
 from onckesten.algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO
 from onckesten.fock import poisson_moment_by_operators
 from onckesten.moments import (
+    MomentMismatchError,
     _coloring_histogram,
     _div_by_x_minus_2,
     _grouped_histogram,
@@ -241,6 +244,8 @@ def test_closed_form_and_jacobi_prefixes():
     for n in range(1, 7):
         assert closed[n] == table.r[n]
         assert jacobi[n] == table.r[n]
+    # the golden digest stops at 24; the sqrt(1-2z) coefficients run on to 40
+    assert r_by_closed_form(40) == [r_by_delaney(n) for n in range(41)]
 
 
 # sha256 of r_by_closed_form(24), r_by_jacobi(24) and r_by_delaney(n) for n <= 24,
@@ -359,6 +364,28 @@ def test_series_identities_all_pass():
     checks = series_identity_checks(6)
     assert len(checks) >= 7
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+
+
+@pytest.mark.parametrize("field", ["s", "a", "r", "s_rows[2]", "s_rows[3]"])
+def test_series_identities_catch_a_wrong_top_coefficient(monkeypatch, field):
+    # one wrong z^8 coefficient of an order-8 table must fail a check at z^8:
+    # every side of every identity is known through the top order it claims
+    real = moments.sequences_by_recursion
+
+    def spoiled(order, r_max=1):
+        table = real(order, r_max)
+        name, _, row = field.partition("[")
+        seq = getattr(table, name)
+        if row:
+            r = int(row[:-1])
+            seq = seq[:r] + (seq[r][:8] + (seq[r][8] + 1,) + seq[r][9:],) + seq[r + 1:]
+        else:
+            seq = seq[:8] + (seq[8] + 1,) + seq[9:]
+        return dataclasses.replace(table, **{name: seq})
+
+    monkeypatch.setattr(moments, "sequences_by_recursion", spoiled)
+    with pytest.raises(MomentMismatchError, match=r"first mismatch at z\^8: "):
+        series_identity_checks(8)
 
 
 # -- word and mixed moments ---------------------------------------------------------------

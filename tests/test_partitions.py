@@ -49,6 +49,11 @@ def test_partition_normalizes_and_validates():
         _sp(4, [[1, 2]])
     with pytest.raises(ValueError):
         _sp(4, [[1, 2], [3, 5]])
+    # the constructor checks the invariant that nesting_forest relies on
+    assert SetPartition(4, ((1, 4), (2, 3))) == _sp(4, [[2, 3], [1, 4]])
+    for blocks in (((2, 3), (1, 4)), ((1, 4), (3, 2)), ((1, 2), (2, 3)), ((1, 2),), ((), (1, 2), (3, 4))):
+        with pytest.raises(ValueError):
+            SetPartition(4, blocks)
 
 
 def test_ordered_partition_coloring_order():
