@@ -36,7 +36,10 @@ whether it can shorten a word; ``_walk`` applies them to the vacuum.  Only
 annihilators shorten a word, by one factor each, and gauges keep its length,
 so after every step the walk drops each word longer than the number of
 shortening steps still to come: such a word never reaches the vacuum, and
-dropping it is exact.
+dropping it is exact.  Beside it, ``_walk_family`` evaluates every word up to
+a given length over an alphabet as one suffix tree, with the same argument:
+after a node's step it drops each word longer than the number of letters
+that may still be prepended.
 
 Operators build their outputs with the trusted ``FockVector._make``, and the
 checking ``FockVector(...)`` serves callers: only a caller's zero polynomial
@@ -324,6 +327,35 @@ def _walk(steps: Sequence) -> MultiPoly:
         if v.is_zero:
             return ZERO
     return v.vacuum
+
+
+def _walk_family(engine: FockEngine, alphabet: Sequence, length: int):
+    """Yield ``(word, amplitude)`` for each word of 1..``length`` tags over ``alphabet`` with a nonzero vacuum amplitude.
+
+    The family is a suffix tree, walked depth-first from the right: a node
+    applies one operator to its parent's vector, so a shared suffix is
+    computed once.  A word in a node's vector that is longer than the number
+    of letters that may still be prepended never reaches the vacuum, so the
+    node drops it, exactly as ``_walk`` does; a branch ends at a vector that
+    is zero after the drop.  Words are tag tuples read left to right, and
+    each step resolves through ``engine._operator``.
+    """
+    ops = tuple((tag, engine._operator(tag)) for tag in alphabet)
+    stack = [((), FockVector.unit())]
+    while stack:
+        suffix, v = stack.pop()
+        room = length - len(suffix) - 1  # letters that may still be prepended to a child
+        for tag, op in ops:
+            child = op(v)
+            if any(len(word) > room for word in child.terms):
+                child.terms = {word: c for word, c in child.terms.items() if len(word) <= room}
+            if child.is_zero:
+                continue
+            word = (tag,) + suffix
+            if not child.vacuum.is_zero:
+                yield word, child.vacuum
+            if room:
+                stack.append((word, child))
 
 
 def position_moment(sig: IntervalSignature, override_limits: bool = False) -> MultiPoly:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from fractions import Fraction
 
 NODE_CAP = 2**20
 MIN_DEPTH = 6  # subdivisions before any panel is accepted
@@ -48,6 +49,9 @@ class QuadratureError(RuntimeError):
 class KestenMeasure:
     """Two-parameter Kesten-type measure; p and q become floats here, once.
 
+    The exact gap 1 - s is kept as well: whether there are atoms, and their
+    mass, is decided from it, since p + q may round to 1.0 where s < 1.
+
     The accepted domain is every p, q >= 0 for which 2s and (1 - s)^2 are
     finite floats, i.e. s up to about ``_S_MAX``; the formulas below need both.
     ``s`` = p + q and ``edge`` = sqrt(2s), the right endpoint of the
@@ -57,20 +61,21 @@ class KestenMeasure:
 
     def __init__(self, p: float, q: float):
         try:
-            p, q = float(p), float(q)
-            finite = math.isfinite(p + q)
+            pf, qf = float(p), float(q)
+            finite = math.isfinite(pf + qf)
         except OverflowError:  # an exact rational beyond the float range
             finite = False
         if not finite:
             raise ValueError("p and q must be finite and within the float range")
-        if p < 0 or q < 0:
+        if pf < 0 or qf < 0:
             raise ValueError("p and q must be nonnegative")
-        gap = 1.0 - (p + q)
+        gap = 1.0 - (pf + qf)
         if not math.isfinite(gap * gap):  # and so is 2s
             raise ValueError(f"p + q must be at most about {_S_MAX:.3g}, so that (1 - s)^2 is a finite float")
-        self.p = p
-        self.q = q
-        self.s = p + q
+        self._exact_gap = 1 - (Fraction(p) + Fraction(q))  # 1 - s before rounding
+        self.p = pf
+        self.q = qf
+        self.s = pf + qf
         self.edge = math.sqrt(2.0 * self.s)
         self._edge_sq = self.edge * self.edge
         self._gap_sq = (1.0 - self.s) ** 2
@@ -78,20 +83,21 @@ class KestenMeasure:
     # -- atoms ------------------------------------------------------------------
 
     def atoms(self) -> list:
-        """[(position, mass)] for the point part; empty when p+q >= 1.
+        """[(position, mass)] for the point part; empty when the exact p+q >= 1.
 
         Masses come from the residue of G at the denominator zero z0 with
         the principal branch of the square root; the pole sits strictly
         outside the support whenever p+q != 1, and the numerator kills it
         unless p+q < 1.  There z0^2 = 2/(2-s), so on the branch in use
         sqrt(z0^2 - 2s) = (1-s) z0 exactly: no float square root of a
-        difference that cancels as s -> 1.
+        difference that cancels as s -> 1, and 1 - s is the exact gap.
         """
-        s = self.s
-        if s >= 1.0:
+        if self._exact_gap <= 0:
             return []
+        s = self.s
+        gap = float(self._exact_gap)
         z0 = 1.0 / math.sqrt(1.0 - s / 2.0)
-        num = (s - 1.0) * z0 - (1.0 - s) * z0
+        num = -gap * z0 - gap * z0
         dden = -2.0 * (2.0 - s) * z0
         mass = num / dden
         return [(z0, mass), (-z0, mass)]
@@ -139,45 +145,45 @@ class KestenMeasure:
         if n < 0:
             raise ValueError("moment index must be >= 0")
         total = sum(mass * pos**n for pos, mass in self.atoms())
-        f = lambda th: self._integrand(th, n)
-        total += _adaptive_simpson(f, -math.pi / 2.0, math.pi / 2.0, tol)
+        total += _adaptive_simpson(self._integrand, n, -math.pi / 2.0, math.pi / 2.0, tol)
         return total
 
     def total_mass(self) -> float:
         return self.quadrature_moment(0, 1e-12)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson with a hard cap of ``NODE_CAP`` function evaluations.
+def _adaptive_simpson(f, n: int, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson for f(x, n) over [a, b], with a hard cap of ``NODE_CAP`` evaluations.
 
     Acceptance requires ``MIN_DEPTH`` subdivisions: trigonometric-polynomial
     integrands can make the Richardson estimate vanish exactly on coarse
     symmetric panels (the sixth-moment integrand does, at the first split),
     so early panels are never trusted.  ``best`` is the composite Simpson sum
-    over the current panel frontier, the estimate a failure reports.
+    over the current panel frontier, the estimate a failure reports.  One
+    ``recurse`` frame handles one panel: it evaluates f at the two quarter
+    points itself and checks the cap after each evaluation.
     """
+    cap = NODE_CAP
     evals = 0
     best = 0.0
 
-    def ev(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        fx = f(x)
-        if evals > NODE_CAP:
-            raise QuadratureError(
-                f"quadrature node cap {NODE_CAP} exceeded ({evals} nodes); best estimate {best!r}", best, evals
-            )
-        return fx
-
-    def simpson(x0, f0, x2, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = ev(x1)
-        return x1, f1, (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
+    def capped() -> QuadratureError:
+        return QuadratureError(f"quadrature node cap {cap} exceeded ({evals} nodes); best estimate {best!r}", best, evals)
 
     def recurse(x0, f0, x2, f2, whole, x1, f1, tol_here, depth):
-        nonlocal best
-        lm, flm, left = simpson(x0, f0, x1, f1)
-        rm, frm, right = simpson(x1, f1, x2, f2)
+        nonlocal best, evals
+        lm = 0.5 * (x0 + x1)
+        flm = f(lm, n)
+        evals += 1
+        if evals > cap:
+            raise capped()
+        left = (x1 - x0) * (f0 + 4.0 * flm + f1) / 6.0
+        rm = 0.5 * (x1 + x2)
+        frm = f(rm, n)
+        evals += 1
+        if evals > cap:
+            raise capped()
+        right = (x2 - x1) * (f1 + 4.0 * frm + f2) / 6.0
         err = (left + right - whole) / 15.0
         if depth >= MIN_DEPTH and abs(err) <= tol_here:
             return left + right + err
@@ -191,7 +197,8 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
             x1, f1, x2, f2, right, rm, frm, half, depth + 1
         )
 
-    fa, fb = ev(a), ev(b)
-    mid, fmid, whole = simpson(a, fa, b, fb)
-    best = whole
+    mid = 0.5 * (a + b)
+    fa, fb, fmid = f(a, n), f(b, n), f(mid, n)
+    evals = 3  # far below the cap
+    whole = best = (b - a) * (fa + 4.0 * fmid + fb) / 6.0
     return recurse(a, fa, b, fb, whole, mid, fmid, tol, 0)

@@ -175,7 +175,10 @@ def test_density_boolean_limit_is_purely_atomic(capsys):
 
 
 def test_verify_report(capsys):
-    code, doc = run_json(capsys, "verify")
+    code, out = run_cli(capsys, "verify")
+    # sha256 of the stdout at the default order and seed: every check's detail line
+    assert hashlib.sha256(out.encode()).hexdigest() == "759d9c4b310a70aa79fa5d8716ad555493b31b9229b43e1e7b6f0f50d62ace9d"
+    doc = json.loads(out)
     assert code == 0 and doc["ok"] is True
     assert doc["order"] == 6 and doc["seed"] == 7
     assert len(doc["checks"]) >= 12

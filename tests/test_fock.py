@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from onckesten import fock, verify
 from onckesten.algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO
 from onckesten.fock import (
     POISSON_OPERATOR_LIMIT,
@@ -432,22 +433,62 @@ def test_pruned_position_moment_matches_unpruned_oracle():
         assert position_moment(sig) == want, (lengths, assignment)
 
 
-def test_pruned_word_moment_matches_unpruned_oracle():
-    engine = FockEngine.poisson()
-    for length in range(1, 6):
-        for kinds in itertools.product(("a", "a*", "m", "n"), repeat=length):
-            tags = tuple((kind, 0) for kind in kinds)
+def _assert_word_family_matches_unpruned_oracle(engine, alphabet):
+    # word by word, and as one suffix tree: the tree yields exactly the nonzero words, once each
+    nonzero = {}
+    for length in range(1, 7):
+        for tags in itertools.product(alphabet, repeat=length):
             want = oracles.unpruned_word_moment(engine, FockVector.unit(), tags)
-            assert engine.word_vacuum_moment(tags) == want, kinds
+            assert engine.word_vacuum_moment(tags) == want, tags
+            if not want.is_zero:
+                nonzero[tags] = want
+    family = list(fock._walk_family(engine, alphabet, 6))
+    assert len(family) == len(nonzero) and dict(family) == nonzero
+    return len(nonzero)
+
+
+def test_pruned_word_moment_matches_unpruned_oracle():
+    alphabet = [(kind, 0) for kind in ("a", "a*", "m", "n")]
+    assert _assert_word_family_matches_unpruned_oracle(FockEngine.poisson(), alphabet) == 196
 
 
 def test_pruned_word_moment_matches_unpruned_oracle_on_two_intervals():
     engine = FockEngine.brownian([(0, 1), (2, F(7, 2))])
     alphabet = [(kind, i) for kind in ("a", "a*") for i in (0, 1)]
-    nonzero = 0
-    for length in range(1, 7):
-        for tags in itertools.product(alphabet, repeat=length):
-            want = oracles.unpruned_word_moment(engine, FockVector.unit(), tags)
-            assert engine.word_vacuum_moment(tags) == want, tags
-            nonzero += not want.is_zero
-    assert nonzero == 50
+    assert _assert_word_family_matches_unpruned_oracle(engine, alphabet) == 50
+
+
+# -- verify's word check walks one suffix tree -----------------------------------------------
+
+
+def test_word_vanishing_check_walks_the_tree_once(monkeypatch):
+    calls = 0
+
+    def counting(method):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("create", "annihilate", "gauge_m", "gauge_n"):
+        monkeypatch.setattr(FockEngine, name, counting(getattr(FockEngine, name)))
+    assert verify._check_word_vanishing(6, None)[0]
+    assert 0 < calls <= 1000  # 892 applications; word by word it took 10,906
+
+
+def _patch_admissibility(monkeypatch, word, verdict):
+    real = word_admits_partition
+    special = parse_word(word)
+    monkeypatch.setattr(fock, "word_admits_partition", lambda tags: verdict if tuple(tags) == special else real(tags))
+
+
+def test_word_vanishing_check_fails_on_a_nonzero_word_without_a_partition(monkeypatch):
+    _patch_admissibility(monkeypatch, "a*a", False)
+    assert verify._check_word_vanishing(6, None) == (False, "word a*a admits no partition yet evaluates to T")
+
+
+def test_word_vanishing_check_fails_on_a_zero_word_with_a_partition(monkeypatch):
+    _patch_admissibility(monkeypatch, "aa*", True)
+    assert verify._check_word_vanishing(6, None) == (False, "word aa* admits a partition but evaluates to 0")

@@ -158,3 +158,37 @@ def test_quadrature_error_carries_estimate(monkeypatch):
     assert isinstance(info.value.estimate, float)
     assert info.value.nodes > 2**12
     assert abs(info.value.estimate - 5.0) < 0.5  # the sixth moment at p = q = 1 is 5
+
+
+def test_quadrature_node_contract(monkeypatch):
+    # one integrand call per node; the counts and the failure are the walk's fingerprint
+    calls = 0
+    integrand = KestenMeasure._integrand
+
+    def counted(self, theta, n):
+        nonlocal calls
+        calls += 1
+        return integrand(self, theta, n)
+
+    monkeypatch.setattr(KestenMeasure, "_integrand", counted)
+    KestenMeasure(1, 1).quadrature_moment(6)
+    assert calls == 2969
+    calls = 0
+    assert KestenMeasure(0.3, 0.2).quadrature_moment(7) == 0.0
+    assert calls == 833
+    calls = 0
+    with pytest.raises(QuadratureError) as info:
+        KestenMeasure(1e150, 1).quadrature_moment(2)
+    assert info.value.nodes == calls == 567
+    assert info.value.estimate == 0.8333333333328571
+    assert str(info.value) == "tolerance not reached at recursion depth 61 (567 nodes); best estimate 0.8333333333328571"
+
+
+def test_atoms_are_decided_by_the_exact_sum():
+    # p + q = 1 - 10^-17 rounds to the float 1.0; the exact gap still gives two atoms
+    mu = KestenMeasure(F(1, 2) - F(1, 10**17), F(1, 2))
+    assert mu.s == 1.0
+    (x_neg, m_neg), (x_pos, m_pos) = sorted(mu.atoms())
+    assert x_pos == -x_neg == 1.0 / math.sqrt(1.0 - mu.s / 2.0)
+    assert 0.0 < m_pos == m_neg < 1e-16
+    assert KestenMeasure(F(1, 2), F(1, 2)).atoms() == []
