@@ -376,9 +376,10 @@ class MomentMismatchError(AssertionError):
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """An identity that held (a failure raises); ``passed`` stays for perfbench/client.py."""
+
     name: str
     passed: bool
-    detail: str = ""
 
 
 def _expect_agreement(name: str, lhs: Sequence, rhs: Sequence) -> IdentityCheck:

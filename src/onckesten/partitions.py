@@ -12,9 +12,10 @@ Each parent/child pair of the nesting forest is then either a *disorder*
 p^e q^e' where e counts disorders and e' counts orders.  These weights drive
 every moment formula in the package.
 
-Enumeration is streamed: base partitions are produced in canonical order
-(blocks sorted by minimum, partitions compared lexicographically as nested
-tuples) and colorings in lexicographic permutation order, so output order is
+Enumeration is streamed: one first-block recursion produces the pairings
+and the general bases alike in canonical order (blocks sorted by minimum,
+partitions compared lexicographically as nested tuples) with no sort, and
+colorings come in lexicographic permutation order, so output order is
 reproducible.  Counts grow fast -- there are n! * Catalan(n) ordered
 non-crossing pair partitions of [2n], about 2.16 million at 2n = 14 -- hence
 the enumeration limits below, overridable by flag.
@@ -26,7 +27,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .algebra import MultiPoly, _check_size
@@ -35,7 +36,7 @@ from .algebra import MultiPoly, _check_size
 # Catalan(7) = 429 bases for the coloring sums, which count each base's
 # colorings without listing them, and 7! * 429 = 2,162,160 rows for the
 # ordered listing.  General partitions go up to n = 8 (Catalan(8) = 1430
-# bases, generated directly).
+# bases).
 PAIR_ENUM_LIMIT = 14
 GENERAL_ENUM_LIMIT = 8
 
@@ -176,50 +177,47 @@ def weight(op: OrderedPartition) -> MultiPoly:
 # -- enumeration --------------------------------------------------------------
 
 
-def _nc_pairings(slots: tuple) -> Iterator[tuple]:
-    """All non-crossing pairings of a contiguous run of positions.
+def _nc_bases(slots: tuple, pairs: bool) -> Iterator[tuple]:
+    """Non-crossing partitions, or with ``pairs`` pairings, of a run of slots.
 
-    Pair the first slot with a partner at odd offset; the enclosed and the
-    trailing segments pair independently, which is exactly non-crossingness.
-    The partner ascends and each segment recurses in order, so the pairings
-    come in canonical order; an odd run yields none.
+    Kreweras' first-block decomposition: the runs that the first slot's
+    block encloses, and the run after it, partition independently.  That
+    block grows in lexicographic order (closing before extending; a pairing
+    takes one partner, at an odd offset) and the sub-runs vary left to
+    right, so the output is in canonical order.  Sub-runs are listed once
+    per call; the run itself streams.
     """
-    if not slots:
-        yield ()
-        return
-    a = slots[0]
-    for idx in range(1, len(slots), 2):
-        b = slots[idx]
-        for pi in _nc_pairings(slots[1:idx]):
-            for po in _nc_pairings(slots[idx + 1:]):
-                yield ((a, b),) + pi + po
+    listed: dict = {}
 
+    def first_blocks(block: tuple, hi: int) -> Iterator[tuple]:
+        if not pairs or len(block) == 2:
+            yield block
+        if not pairs or len(block) == 1:
+            for j in range(block[-1] + 1, hi, 2 if pairs else 1):
+                yield from first_blocks(block + (j,), hi)
 
-def _nc_partitions(n: int) -> Iterator[tuple]:
-    """All non-crossing partitions of [n]; blocks emerge sorted by minimum.
+    def listing(lo: int, hi: int) -> list:
+        found = listed.get((lo, hi))
+        if found is None:
+            found = listed[lo, hi] = list(bases(lo, hi))
+        return found
 
-    ``growing`` holds the blocks that can still take an element, innermost
-    last.  x either joins one of them, which closes for good every block
-    above it (a later element there would cross x's block), or opens a new
-    block on top.  Joining comes before opening, so {1,2,3} precedes
-    {1,2},{3}: the order is not lexicographic, and ``enumerate_nc`` sorts.
-    """
-    blocks: list = []
-
-    def rec(x: int, growing: tuple):
-        if x > n:
-            yield tuple(tuple(b) for b in blocks)
+    def bases(lo: int, hi: int) -> Iterator[tuple]:
+        if lo == hi:
+            yield ()
             return
-        for depth, bi in enumerate(growing, 1):
-            b = blocks[bi]
-            b.append(x)
-            yield from rec(x + 1, growing[:depth])
-            b.pop()
-        blocks.append([x])
-        yield from rec(x + 1, growing + (len(blocks) - 1,))
-        blocks.pop()
+        for block in first_blocks((lo,), hi):
+            head = (tuple(slots[i] for i in block),)
+            runs = [listing(i + 1, j) for i, j in zip(block, block[1:] + (hi,))]
+            for parts in product(*runs):
+                yield sum(parts, head)
 
-    yield from rec(1, ())
+    return bases(0, len(slots))
+
+
+def _nc_pairings(slots: tuple) -> Iterator[tuple]:
+    """Non-crossing pairings of a run of slots: the name ``moments`` binds."""
+    return _nc_bases(slots, pairs=True)
 
 
 def _set_partitions(n: int) -> Iterator[tuple]:
@@ -246,14 +244,13 @@ def _set_partitions(n: int) -> Iterator[tuple]:
 
 
 def enumerate_nc(n: int, pair_only: bool = False, override_limits: bool = False) -> Iterator[SetPartition]:
-    """Non-crossing (pair) partitions of [n] in canonical order."""
-    if pair_only:  # streamed: _nc_pairings yields canonical order, and nothing for odd n
+    """Non-crossing (pair) partitions of [n], streamed in canonical order."""
+    if pair_only:
         _check_size("pair enumeration", n, PAIR_ENUM_LIMIT, override_limits)
-        for blocks in _nc_pairings(tuple(range(1, n + 1))):
-            yield SetPartition._make(n, blocks)
-        return
-    _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
-    yield from sorted((SetPartition._make(n, blocks) for blocks in _nc_partitions(n)), key=lambda sp: sp.blocks)
+    else:
+        _check_size("general enumeration", n, GENERAL_ENUM_LIMIT, override_limits)
+    for blocks in _nc_bases(tuple(range(1, n + 1)), pair_only):
+        yield SetPartition._make(n, blocks)
 
 
 def enumerate_ordered(

@@ -17,7 +17,7 @@ from onckesten.partitions import (
     OrderedPartition,
     PAIR_ENUM_LIMIT,
     SetPartition,
-    _nc_partitions,
+    _nc_bases,
     disorder_order_counts,
     enumerate_nc,
     enumerate_ordered,
@@ -164,7 +164,7 @@ def test_enumerate_against_oracle_sets():
 
 
 def test_general_enumeration_is_the_sorted_oracle_listing():
-    # canonical order, not only the same set: the generator's own order is not lexicographic
+    # canonical order, not only the same set: the listing streams the generator unsorted
     for n in range(1, 10):
         listing = [sp.blocks for sp in enumerate_nc(n, override_limits=True)]
         assert listing == sorted(oracles.nc_partitions(n)), n
@@ -185,8 +185,16 @@ def test_general_enumeration_is_the_sorted_oracle_listing():
 
 def test_nc_partition_generator_yields_catalan_distinct_partitions():
     for n in range(0, 11):
-        found = list(_nc_partitions(n))
+        found = list(_nc_bases(tuple(range(1, n + 1)), False))
         assert len(found) == len(set(found)) == catalan(n), n
+
+
+def test_pair_listing_is_the_general_listing_filtered_to_pairs():
+    # one recursion, one order: the pairings sit in the general listing in the same order
+    for n in range(1, 11):
+        general = [sp.blocks for sp in enumerate_nc(n, override_limits=True) if all(len(b) == 2 for b in sp.blocks)]
+        pairs = [sp.blocks for sp in enumerate_nc(n, pair_only=True, override_limits=True)]
+        assert pairs == general, n
 
 
 def test_monotone_colorings_count_double_factorial():
