@@ -106,16 +106,14 @@ class KestenMeasure:
 
     def density(self, x: float) -> float:
         """Absolutely continuous density at x; zero at and beyond the edge."""
-        s = self.s
         x = float(x)
         if abs(x) >= self.edge:
             return 0.0
-        den = 2.0 - (2.0 - s) * x * x
-        # the denominator zero lies strictly outside the support for s != 1,
-        # and cancels against the vanishing numerator at the edge for s = 1
-        if den <= 0.0:
-            raise ArithmeticError(f"density denominator vanished inside the support at x={x!r}")
-        return math.sqrt(2.0 * s - x * x) / (math.pi * den)
+        # 2 - (2-s) x^2 = (2s - x^2 + (1-s)^2 x^2) / s: no cancellation as
+        # s -> 1 (as in _integrand), and positive for every |x| < edge
+        inner = 2.0 * self.s - x * x
+        den = (inner + self._gap_sq * x * x) / self.s
+        return math.sqrt(inner) / (math.pi * den)
 
     def cauchy(self, z: complex) -> complex:
         """Cauchy transform G(z); rejects points on the support cut."""

@@ -20,8 +20,8 @@ sequences that tie them together:
 * ``r_by_delaney``       r_n = sum_k D(n,k) t^k over the nesting-number
   counts D(n,k) of non-crossing pair partitions
 
-The last three depend on p and q only through s, so they run in one
-variable (x = s, resp. x = t) and lift each r_n to (p, q) once at the end.
+The last three depend on p and q only through s: they count in Python
+rationals in x = s (resp. x = t), and the kernel sees only each r_n's lift.
 
 plus mixed interval moments, the compound (Poisson-type) moments with their
 symbolic time horizon T, the generalized Euler numbers refining n!*Catalan(n)
@@ -38,13 +38,14 @@ shape.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, Q, UniPoly, ZERO, _check_size, lift_to_pq
+from .algebra import MultiPoly, ONE, P, Q, ZERO, _check_size, lift_to_pq
 from .partitions import (
     PAIR_ENUM_LIMIT,
     IntervalSignature,
@@ -261,37 +262,32 @@ def sequences_by_recursion(order: int, r_max: int = 1) -> SequenceTable:
 # -- route 3: closed form --------------------------------------------------------
 
 
-def _div_by_x_minus_2(f: UniPoly) -> UniPoly:
-    """Exact quotient f / (x-2) by synthetic division; raises on a remainder."""
-    quot = []
-    acc = ZERO
-    for c in reversed(f.coeffs):
+def _div_by_x_minus_2(f: Sequence) -> list:
+    """Exact quotient f / (x-2), constant terms first, by synthetic division; raises on a remainder."""
+    quot, acc = [], 0
+    for c in reversed(f):
         quot.append(acc)
         acc = c + acc * 2
-    if not acc.is_zero:
+    if acc:
         raise ArithmeticError(f"not divisible by x-2, remainder {acc}")
-    return UniPoly(reversed(quot[1:]))
+    return quot[:0:-1]
 
 
 def r_by_closed_form(order: int) -> list:
     """Coefficients r_0..r_order of (s-1-sqrt(1-2sz)) / (s-2+2z), s = p+q.
 
-    Runs in one variable x = s: the z^n coefficient of the numerator is
-    [n = 0](x-1) - b_n x^n with b_n = -C(2n, n) / (2^n (2n-1)) the z^n
-    coefficient of sqrt(1-2z), and (x-2) r_n + 2 r_(n-1) matches it.  Every
-    division by x-2 is checked to be exact, i.e. every r_n is a genuine
-    polynomial; each is lifted to (p, q) once, at x = p+q.
+    Runs in Python rationals in x = s: the numerator's z^0 coefficient x-2
+    gives r_0 = 1, its z^n coefficient -b_n x^n (b_n = -C(2n, n) / (2^n (2n-1))
+    that of sqrt(1-2z)) matches (x-2) r_n + 2 r_(n-1), and every division by
+    x-2 is checked to be exact.  Only the lift of each r_n enters the kernel.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    out: list = []
-    prev = UniPoly()
-    for n in range(order + 1):
-        numer = UniPoly([ZERO] * n + [Fraction(comb(2 * n, n), 2**n * (2 * n - 1))])
-        if n == 0:
-            numer = numer + UniPoly([-1, 1])
-        prev = _div_by_x_minus_2(numer - prev * 2)
-        out.append(lift_to_pq(prev.coeffs))
+    out, prev = [ONE], [1]
+    for n in range(1, order + 1):
+        numer = [-2 * c for c in prev] + [0] * (n - len(prev))
+        prev = _div_by_x_minus_2(numer + [Fraction(comb(2 * n, n), 2**n * (2 * n - 1))])
+        out.append(lift_to_pq(prev))
     return out
 
 
@@ -301,28 +297,24 @@ def r_by_closed_form(order: int) -> list:
 def r_by_jacobi(order: int) -> list:
     """r_0..r_order as Dyck-path weights of the ladder (1, t, t, ...), t=(p+q)/2.
 
-    A down-step from level 1 carries weight 1, from any higher level weight t;
-    the 2n-step closed walks at level 0 sum to r_n.  The walk runs in one
-    variable x = t and lifts each r_n to (p, q) once.
+    Down-steps weigh 1 from level 1, t from higher; closed 2n-step walks sum
+    to r_n.  Walks are Python integer counts by (level, t-weighted down-steps),
+    dropped once they cannot return to 0; only each r_n's lift uses the kernel.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    t = UniPoly([ZERO, ONE])
-    levels = order + 2
-    u = [UniPoly.one()] + [UniPoly()] * levels
+    walks = Counter({(0, 0): 1})
     out = [ONE]
     for step in range(1, 2 * order + 1):
-        nxt = [UniPoly()] * (levels + 1)
-        for k in range(levels + 1):
-            if u[k].is_zero:
-                continue
-            if k + 1 <= levels:
-                nxt[k + 1] = nxt[k + 1] + u[k]
-            if k >= 1:
-                nxt[k - 1] = nxt[k - 1] + (u[k] if k == 1 else u[k] * t)
-        u = nxt
+        nxt = Counter()
+        for (k, d), c in walks.items():
+            if k < 2 * order - step:
+                nxt[k + 1, d] += c
+            if k:
+                nxt[k - 1, d + (k > 1)] += c
+        walks = nxt
         if step % 2 == 0:
-            out.append(lift_to_pq([c / 2**k for k, c in enumerate(u[0].coeffs)]))
+            out.append(lift_to_pq([Fraction(walks[0, d], 2**d) for d in range(step // 2)]))
     return out
 
 

@@ -156,13 +156,16 @@ def _random_signature(rng) -> IntervalSignature:
     return IntervalSignature(lengths=lengths, assignment=tuple(assignment))
 
 
+# the source document's worked two-interval sixth moment: a check and an erratum
+_WORKED_SIGNATURE = IntervalSignature.from_named_intervals(
+    ("f", "f", "g", "g", "f", "f"), {"g": (0, 1), "f": (1, 2)}
+)
+
+
 def _check_mixed_moment_engines(order: int, rng) -> Tuple[bool, str]:
-    worked = IntervalSignature.from_named_intervals(
-        ("f", "f", "g", "g", "f", "f"), {"g": (0, 1), "f": (1, 2)}
-    )
     expected = _half(P * P + P * Q + MultiPoly.constant(Fraction(2)))
-    operator = fock.position_moment(worked)
-    combinatorial = moments.mixed_moment_brownian(worked)
+    operator = fock.position_moment(_WORKED_SIGNATURE)
+    combinatorial = moments.mixed_moment_brownian(_WORKED_SIGNATURE)
     if operator != expected or combinatorial != expected:
         return False, (
             f"two-interval sixth moment: operator {operator}, "
@@ -409,10 +412,7 @@ def paper_errata() -> Tuple[ErrataEntry, ...]:
     computation supports the value recomputed here, and every independent
     route in this package reproduces it.
     """
-    sig = IntervalSignature.from_named_intervals(
-        ("f", "f", "g", "g", "f", "f"), {"g": (0, 1), "f": (1, 2)}
-    )
-    sixth = moments.mixed_moment_brownian(sig)
+    sixth = moments.mixed_moment_brownian(_WORKED_SIGNATURE)
     entries = [
         ErrataEntry(
             name="two-interval-sixth-moment",

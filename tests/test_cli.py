@@ -280,13 +280,18 @@ def test_size_guard_names_the_override_flag(capsys):
         (["enumerate", "--n", "12"], "e751b6536ddd54f44b6ba8e39cdfddcb3c33df522a19e9d933f38a2d5f8a2b8b"),
         (["enumerate", "--n", "8", "--general"], "80e1f2db10be8f2d37379e89a8ea474a14914b27d6e69cb744e2ae4cc77800e3"),
         (["moments", "--n", "7", "--route", "enum"], "1ef2f964be95156273fbb5d7cc27818b4ccafd7d3176144e7a50f4b745c629a1"),
+        (["moments", "--n", "12"], "8ae0d1fa86a89c8994d636617ee50275c9c4a14479ec236b31b1d5752a70dad2"),
+        (["moments", "--n", "12", "--p", "1/2", "--q", "1/3"], "14da3f86631427b13cf388e2b45455be83698d9ab4dc0e1fc95f17961958b0b4"),
         (["poisson", "--n", "8"], "73e4fbe194c36b2176c4e4e679d8ea8bfd8d5771722bfee8fd861176599059c1"),
         (
             ["brownian", "--signature", "f f g g f f g g", "--intervals", "g=[0,1],f=[1,5/2]"],
             "ed8bbbae9e600317a709212ee5fb4426ecbdf178085cfdd54b1a864e9b2daae4",
         ),
     ],
-    ids=["enumerate-8", "enumerate-6-general", "enumerate-12", "enumerate-8-general", "moments-7-enum", "poisson-8", "brownian-two-intervals"],
+    ids=[
+        "enumerate-8", "enumerate-6-general", "enumerate-12", "enumerate-8-general",
+        "moments-7-enum", "moments-12", "moments-12-at-a-point", "poisson-8", "brownian-two-intervals",
+    ],
 )
 def test_stdout_golden_digests(capsys, argv, digest):
     # sha256 of the byte-reproducible stdout, frozen at the default limits

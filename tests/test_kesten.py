@@ -71,6 +71,20 @@ def test_density_is_even():
         assert mu.density(x) == pytest.approx(mu.density(-x), abs=1e-15)
 
 
+def test_density_just_inside_the_edge_near_unit_weight():
+    # 2 - (2-s) x^2 rounds to zero or below a few ulps inside the edge as
+    # s -> 1; the density must stay finite and positive on the whole support
+    points = [(0.49999999717627946, 1.414213558379751)]
+    for k in range(3, 13):
+        h = 0.5 - 10.0**-k
+        points.append((h, math.nextafter(KestenMeasure(h, h).edge, 0.0)))
+    for h, x in points:
+        mu = KestenMeasure(h, h)
+        for _ in range(8):
+            assert 0.0 < mu.density(x) < math.inf, (h, x)
+            x = math.nextafter(x, 0.0)
+
+
 def test_total_mass_with_and_without_atoms():
     # total_mass already folds in the point part
     for p, q in [(1, 1), (0, 1), (0.5, 0.5), (0.3, 0.2), (1.5, 0.4), (0.95, 0.95)]:

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from onckesten import moments
-from onckesten.algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO
+from onckesten.algebra import MultiPoly, ONE, P, Q, T, ZERO
 from onckesten.fock import poisson_moment_by_operators
 from onckesten.moments import (
     MomentMismatchError,
@@ -244,8 +244,9 @@ def test_closed_form_and_jacobi_prefixes():
     for n in range(1, 7):
         assert closed[n] == table.r[n]
         assert jacobi[n] == table.r[n]
-    # the golden digest stops at 24; the sqrt(1-2z) coefficients run on to 40
-    assert r_by_closed_form(40) == [r_by_delaney(n) for n in range(41)]
+    # the golden digest stops at 24; the sqrt(1-2z) coefficients and the
+    # pruned walks run on to 40
+    assert r_by_closed_form(40) == r_by_jacobi(40) == [r_by_delaney(n) for n in range(41)]
 
 
 # sha256 of r_by_closed_form(24), r_by_jacobi(24) and r_by_delaney(n) for n <= 24,
@@ -260,10 +261,10 @@ def test_s_only_routes_golden_digest():
 
 
 def test_division_by_x_minus_2_is_exact_or_raises():
-    x = UniPoly([ZERO, ONE])
-    assert _div_by_x_minus_2(x * x - 4) == x + 2
-    assert _div_by_x_minus_2(UniPoly()) == UniPoly()
-    for f in (x * x - 3, UniPoly([ONE])):
+    # coefficient lists of rationals, constant term first
+    assert _div_by_x_minus_2([F(-4), F(0), F(1)]) == [2, 1]
+    assert _div_by_x_minus_2([]) == []
+    for f in ([F(-3), F(0), F(1)], [F(1)]):
         with pytest.raises(ArithmeticError, match="remainder"):
             _div_by_x_minus_2(f)
 
