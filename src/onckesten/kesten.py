@@ -109,10 +109,11 @@ class KestenMeasure:
         x = float(x)
         if abs(x) >= self.edge:
             return 0.0
-        # 2 - (2-s) x^2 = (2s - x^2 + (1-s)^2 x^2) / s: no cancellation as
-        # s -> 1 (as in _integrand), and positive for every |x| < edge
+        # 2 - (2-s) x^2 = (2s - x^2)/s + (1-s)^2 x^2/s: a sum of two
+        # nonnegative terms, so no cancellation as s -> 1 (as in _integrand);
+        # with x^2/s in [0, 2] it overflows only where 2 - (2-s) x^2 does
         inner = 2.0 * self.s - x * x
-        den = (inner + self._gap_sq * x * x) / self.s
+        den = inner / self.s + self._gap_sq * (x * x / self.s)
         return math.sqrt(inner) / (math.pi * den)
 
     def cauchy(self, z: complex) -> complex:

@@ -85,6 +85,19 @@ def test_density_just_inside_the_edge_near_unit_weight():
             x = math.nextafter(x, 0.0)
 
 
+def test_density_far_from_unit_weight_matches_the_direct_form():
+    # away from s = 1 the form 2 - (2-s) x^2 does not cancel, so it is the
+    # reference; the density must not overflow to zero in the bulk for huge
+    # s, nor lose its scale for tiny s
+    for p, q in [(1e150 + 1, 0), (1e150, 1), (1e153, 1), (1e-300, 0), (1e-310, 0), (3.0, 4.0)]:
+        mu = KestenMeasure(p, q)
+        s = mu.s
+        for frac in (0.0, 0.25, 0.5, 0.9, 0.999):
+            x = mu.edge * frac
+            direct = math.sqrt(2.0 * s - x * x) / (math.pi * (2.0 - (2.0 - s) * x * x))
+            assert 0.0 < mu.density(x) == pytest.approx(direct, rel=1e-12), (p, q, frac)
+
+
 def test_total_mass_with_and_without_atoms():
     # total_mass already folds in the point part
     for p, q in [(1, 1), (0, 1), (0.5, 0.5), (0.3, 0.2), (1.5, 0.4), (0.95, 0.95)]:
