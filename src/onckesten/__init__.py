@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 # each public name's home submodule, imported the first time the name is read
 _EXPORTS = {
-    "algebra": ("MultiPoly", "UniPoly"),
+    "algebra": ("MultiPoly",),
     "partitions": ("SetPartition", "OrderedPartition", "NestingForest", "IntervalSignature", "enumerate_nc",
                    "enumerate_ordered", "is_noncrossing", "nesting_forest", "disorder_order_counts", "weight",
                    "is_adapted"),

@@ -1,14 +1,12 @@
-"""Exact arithmetic kernel: polynomials in (p, q, T) and in one more coordinate.
+"""Exact arithmetic kernel: the polynomial ring Q[p, q, T].
 
 Every quantity downstream -- partition weights, moment sequences, operator
 amplitudes -- is a polynomial in the two deformation parameters p, q and an
 optional time symbol T, with rational coefficients.  This module provides the
-shared value types:
-
-* ``MultiPoly``    sparse polynomial in (p, q, T) with rational coefficients,
-                   kept as int numerators over one common denominator
-* ``UniPoly``      polynomial in one extra coordinate x with MultiPoly
-                   coefficients (integrands living on interval cells)
+one shared value type, ``MultiPoly``: a sparse polynomial in (p, q, T) kept as
+int numerators over one common denominator.  A sequence in one more variable
+(a truncated series, a polynomial on a Fock cell) is a tuple of ``MultiPoly``
+coefficients, kept by the module that uses it.
 
 Nothing here ever rounds.  All values are immutable and hashable, so they can
 serve as dictionary keys (the Fock simulator keys its state on words of cell
@@ -281,119 +279,3 @@ def _check_size(what: str, n: int, limit: int, override_limits: bool):
             f"{what}: n = {n} exceeds the limit {limit}; "
             "pass override_limits=True (--override-limits) to go further"
         )
-
-
-class UniPoly:
-    """Polynomial in one coordinate x with MultiPoly coefficients.
-
-    Used for integrands on interval cells: x is the running point of the
-    cell, coefficients may involve p, q and the symbolic horizon T.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Sequence = ()):
-        cs = [as_multipoly(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, value) -> "UniPoly":
-        return cls([as_multipoly(value)])
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls([ONE])
-
-    @property
-    def coeffs(self):
-        return self._coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = UniPoly.constant(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return UniPoly(
-            [
-                (self._coeffs[i] if i < len(self._coeffs) else ZERO)
-                + (other._coeffs[i] if i < len(other._coeffs) else ZERO)
-                for i in range(n)
-            ]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = UniPoly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            f = as_multipoly(other)
-            return UniPoly([c * f for c in self._coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if (ONE,) in (self._coeffs, other._coeffs):  # a factor of 1: the other one, as it is immutable
-            return other if self._coeffs == (ONE,) else self
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        out = [ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def eval_poly(self, value: MultiPoly) -> MultiPoly:
-        """Substitute x = value (a MultiPoly) via Horner's scheme."""
-        value = as_multipoly(value)
-        acc = ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * value + c
-        return acc
-
-    def antiderivative(self) -> "UniPoly":
-        return UniPoly([ZERO] + [c / (k + 1) for k, c in enumerate(self._coeffs)])
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self._coeffs):
-            if c.is_zero:
-                continue
-            body = str(c) if c.is_constant else f"({c})"
-            if k == 0:
-                parts.append(body)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                parts.append(xs if body == "1" else f"{body}{xs}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"UniPoly({self})"

@@ -309,28 +309,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "grid", 2) < 2:
-        parser.error("--grid must be at least 2")
-    if getattr(args, "nmax", 1) < 1:
-        parser.error("--nmax must be at least 1")
-    if not 0 <= getattr(args, "tol", 0.0) < float("inf"):
-        parser.error("--tol must be a finite nonnegative number")
-    if (getattr(args, "p", None) is None) != (getattr(args, "q", None) is None):
-        parser.error("--p and --q must be given together")
+    # exact values may run past CPython's 4,300-digit int <-> str guard; lift
+    # it while the command runs and give an in-process caller its setting back
+    digits_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.fn(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except QuadratureError as exc:
-        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at the null device so that the
-        # flush at interpreter exit cannot fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "grid", 2) < 2:
+            parser.error("--grid must be at least 2")
+        if getattr(args, "nmax", 1) < 1:
+            parser.error("--nmax must be at least 1")
+        if not 0 <= getattr(args, "tol", 0.0) < float("inf"):
+            parser.error("--tol must be a finite nonnegative number")
+        if (getattr(args, "p", None) is None) != (getattr(args, "q", None) is None):
+            parser.error("--p and --q must be given together")
+        try:
+            return args.fn(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+        except QuadratureError as exc:
+            print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # The reader closed stdout.  Point it at the null device so that the
+            # flush at interpreter exit cannot fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+    finally:
+        sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 State vectors live in the algebraic span of the vacuum and of finite words
 f_1 (*) f_2 (*) ... of *cell functions*: polynomials supported on one member
-of a fixed family of pairwise disjoint intervals.  The deformation enters
-through the ordering kernel
+of a fixed family of pairwise disjoint intervals, kept as MultiPoly
+coefficient tuples in x (constant term first, no trailing zero).  The
+deformation enters through the ordering kernel
 
     w(s, t) = p if s < t,  q if s > t,  1 if s = t or t is the vacuum slot,
 
@@ -41,18 +42,19 @@ a given length over an alphabet as one suffix tree, with the same argument:
 after a node's step it drops each word longer than the number of letters
 that may still be prepended.
 
-Operators build their outputs with the trusted ``FockVector._make``, and the
-checking ``FockVector(...)`` serves callers: only a caller's zero polynomial
-could make a zero cell, and ``create``, ``annihilate`` and ``gauge`` check it.
+Operators build outputs with the trusted ``FockVector._make`` and
+``CellFunction._make``, callers with the checking constructors.  Only a
+caller's zero polynomial could make a zero cell; the operators check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-from .algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO, _bump, _check_size, as_multipoly
+from .algebra import MultiPoly, ONE, P, Q, T, ZERO, _bump, _check_size, as_multipoly
 from .partitions import IntervalSignature, SetPartition
 
 # operator steps: each step rewrites every live word short enough to still
@@ -62,7 +64,30 @@ POSITION_MOMENT_LIMIT = 14
 POISSON_OPERATOR_LIMIT = 10
 
 # the multiplier of the truncated number operator n on [0, T]
-_N_RAMP = UniPoly([Q * T, P - Q])
+_N_RAMP = (Q * T, P - Q)
+
+
+def _cell_poly(coeffs) -> tuple:
+    """A caller's coefficients as a cell polynomial: MultiPoly values, no trailing zero."""
+    cs = [as_multipoly(c) for c in coeffs]
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def _cell_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero cell polynomials; a factor (ONE,) returns the other one as it is."""
+    if (ONE,) in (a, b):
+        return b if a == (ONE,) else a
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def _cell_at(g: tuple, x: MultiPoly) -> MultiPoly:
+    return reduce(lambda acc, c: acc * x + c, reversed(g), ZERO)  # Horner's scheme
 
 
 @dataclass(frozen=True)
@@ -77,12 +102,28 @@ class Interval:
         return self.hi is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: every operator step builds cells
 class CellFunction:
-    """A polynomial supported on one registered interval."""
+    """A polynomial supported on one registered interval, as a coefficient tuple in x.
+
+    The constructor brings ``poly`` to MultiPoly values, constant term first,
+    with no trailing zero (a non-polynomial coefficient raises ``TypeError``),
+    so equal polynomials make equal cells with equal hashes.  Operators build
+    their cells with the trusted ``_make``.
+    """
 
     interval: int
-    poly: UniPoly
+    poly: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "poly", _cell_poly(self.poly))
+
+    @classmethod
+    def _make(cls, interval: int, poly: tuple) -> "CellFunction":
+        self = object.__new__(cls)  # trusted constructor: poly is already canonical
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "poly", poly)
+        return self
 
 
 class FockVector:
@@ -95,7 +136,7 @@ class FockVector:
         clean: dict = {}
         for word, c in (terms or {}).items():
             c = as_multipoly(c)
-            if c.is_zero or any(cell.poly.is_zero for cell in word):
+            if c.is_zero or not all(cell.poly for cell in word):
                 continue
             clean[word] = c
         self.terms = clean
@@ -149,13 +190,15 @@ class FockEngine:
         self.intervals = tuple(intervals)
         if any(iv.symbolic for iv in self.intervals) and len(self.intervals) != 1:
             raise ValueError("the symbolic interval [0, T] must be the only one")
+        if self.intervals[0].symbolic and self.intervals[0].lo != 0:
+            raise ValueError(f"the symbolic interval is [0, T]: its lower end must be 0, not {self.intervals[0].lo}")
         for iv in self.intervals:
             if not iv.symbolic and iv.hi <= iv.lo:
                 raise ValueError(f"empty interval [{iv.lo}, {iv.hi}]")
         for a, b in zip(self.intervals, self.intervals[1:]):
             if b.lo < a.hi:
                 raise ValueError("intervals overlap; interiors must be disjoint, with a shared interval registered once")
-        self._indicators = tuple(CellFunction(i, UniPoly.one()) for i in range(len(self.intervals)))
+        self._indicators = tuple(CellFunction._make(i, (ONE,)) for i in range(len(self.intervals)))
         self._bounds = tuple((MultiPoly.constant(iv.lo), T if iv.symbolic else MultiPoly.constant(iv.hi))
                              for iv in self.intervals)
 
@@ -205,7 +248,7 @@ class FockEngine:
     def create(self, f, v: FockVector) -> FockVector:
         """a(f): prepend the cell to every word; the vacuum becomes the word (f)."""
         cell = self._as_cell(f)
-        if cell.poly.is_zero:  # the only way a zero cell could enter a word
+        if not cell.poly:  # the only way a zero cell could enter a word
             return FockVector._make(ZERO, {})
         out = {(cell,) + word: c for word, c in v.terms.items()}
         if not v.vacuum.is_zero:
@@ -215,46 +258,48 @@ class FockEngine:
     def annihilate(self, f, v: FockVector) -> FockVector:
         """a*(f): pair the first factor against f through the ordering kernel."""
         cell = self._as_cell(f)
-        if cell.poly.is_zero:
+        if not cell.poly:
             return FockVector._make(ZERO, {})
         i = cell.interval
         vac = ZERO
         out: dict = {}
         for word, c in v.terms.items():
             if word[0].interval == i:  # otherwise disjoint supports: the overlap integral vanishes
-                vac = vac + self._fold(i, word[0].poly * cell.poly, word[1:], c, out)
+                vac = vac + self._fold(i, _cell_mul(word[0].poly, cell.poly), word[1:], c, out)
         return FockVector._make(vac, out)
 
-    def _fold(self, i: int, integrand: UniPoly, word: tuple, c: MultiPoly, out: dict) -> MultiPoly:
+    def _fold(self, i: int, integrand: tuple, word: tuple, c: MultiPoly, out: dict) -> MultiPoly:
         """Fold the integral of ``integrand`` over cell i into the head of ``word``.
 
         Bumps ``c`` times the folded word into ``out`` and returns the vacuum
         amplitude, which is nonzero only for the empty word.
         """
-        g = integrand.antiderivative()
-        g_lo, g_hi = (g.eval_poly(b) for b in self._bounds[i])
+        g = (ZERO,) + tuple(a / (k + 1) for k, a in enumerate(integrand))  # antiderivative
+        g_lo, g_hi = (_cell_at(g, b) for b in self._bounds[i])
         if not word:
             return c * (g_hi - g_lo)
         head = word[0]
         if head.interval == i:
-            ramp = g * (P - Q) + (Q * g_hi - P * g_lo)
-            _bump(out, (CellFunction(i, ramp * head.poly),) + word[1:], c)
+            ramp = (Q * g_hi - P * g_lo,) + tuple(map((P - Q).__mul__, g[1:]))  # g[0] is 0
+            _bump(out, (CellFunction._make(i, _cell_mul(ramp, head.poly)),) + word[1:], c)
         else:
             _bump(out, word, c * ((P if head.interval > i else Q) * (g_hi - g_lo)))
         return ZERO
 
-    def gauge(self, i: int, h: UniPoly, vacuum_factor, v: FockVector) -> FockVector:
+    def gauge(self, i: int, h: Sequence, vacuum_factor, v: FockVector) -> FockVector:
         """Multiplication by h on interval i, acting on the first factor.
 
+        ``h`` is a coefficient sequence in x, checked as by ``CellFunction``.
         Words whose first factor lives elsewhere are annihilated (disjoint
         supports); the vacuum picks up the explicit ``vacuum_factor``.
         """
         i = self._check_index(i)
+        h = _cell_poly(h)
         vac = v.vacuum * as_multipoly(vacuum_factor)
-        if h.is_zero:
+        if not h:
             return FockVector._make(vac, {})
         # a nonzero h keeps distinct words distinct, so no two terms collide
-        out = {(CellFunction(i, h * word[0].poly),) + word[1:]: c for word, c in v.terms.items() if word[0].interval == i}
+        out = {(CellFunction._make(i, _cell_mul(h, w[0].poly)),) + w[1:]: c for w, c in v.terms.items() if w[0].interval == i}
         return FockVector._make(vac, out)
 
     def gauge_pair(self, f, g, v: FockVector) -> FockVector:

@@ -1,4 +1,4 @@
-"""Exact-arithmetic kernel: polynomials and one-variable cells."""
+"""Exact-arithmetic kernel: the polynomial ring Q[p, q, T]."""
 
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ from onckesten.algebra import (
     P,
     Q,
     T,
-    UniPoly,
     ZERO,
     as_multipoly,
     lift_to_pq,
 )
-from onckesten.fock import FockVector
+from onckesten.fock import CellFunction, FockVector
 
 F = Fraction
 
@@ -136,7 +135,7 @@ def test_values_built_along_different_paths_are_equal_and_hash_equal():
 @given(st.lists(_scalars, max_size=6))
 def test_lift_to_pq_matches_substituting_p_plus_q(cs):
     lifted = lift_to_pq(cs)
-    assert lifted == UniPoly(cs).eval_poly(P + Q)
+    assert lifted == sum((as_multipoly(c) * (P + Q) ** k for k, c in enumerate(cs)), ZERO)
     _assert_canonical(lifted)
 
 
@@ -170,51 +169,9 @@ def test_t_coefficients_split():
     assert as_multipoly(F(2)) == MultiPoly.constant(F(2))
 
 
-# -- one-variable cells -------------------------------------------------------------
-
-
-def test_unipoly_eval_and_integral_golden():
-    # p(x - 1) + q(2 - x) integrated over [1, 2] is (p + q)/2
-    ramp = UniPoly([Q * F(2) - P, P - Q])
-    anti = ramp.antiderivative()
-    assert anti.eval_poly(F(2)) - anti.eval_poly(F(1)) == (P + Q) / F(2)
-    assert ramp.eval_poly(MultiPoly.constant(F(1))) == Q
-    assert ramp.eval_poly(MultiPoly.constant(F(2))) == P
-
-
-def test_unipoly_arithmetic_and_antiderivative():
-    f = UniPoly([ONE, P])  # 1 + p x
-    g = UniPoly([Q])
-    assert (f * g).coeffs == (Q, P * Q)
-    assert (f + g).coeffs == (ONE + Q, P)
-    anti = f.antiderivative()
-    assert anti.coeffs == (ZERO, ONE, P / F(2))
-    assert anti.eval_poly(ONE) - anti.eval_poly(ZERO) == ONE + P / F(2)
-    assert UniPoly([]).is_zero
-    # a scalar or MultiPoly on the left of a difference, as on the left of a sum
-    assert P - UniPoly([ONE]) == UniPoly([P - ONE])
-    assert 3 - f == UniPoly([ONE * 2, -P])
-    assert F(1, 2) - g == UniPoly([ONE / 2 - Q])
-
-
-def test_unipoly_product_by_one_returns_the_other_factor():
-    one = UniPoly.one()
-    for x in (UniPoly([Q, ONE, P]), UniPoly([T]), UniPoly([ONE + ONE])):
-        assert x * one is x
-        assert one * x is x
-    assert (one * UniPoly()).is_zero
-    assert (UniPoly() * one).is_zero
-
-
 def test_constructors_reject_what_is_not_a_polynomial():
     # as_multipoly raises for anything but MultiPoly, int and Fraction, so no
-    # constructor stores NotImplemented; MultiPoly + UniPoly still defers to UniPoly
-    for build in (lambda: FockVector("x"), lambda: UniPoly(["x"]), lambda: lift_to_pq(["x"])):
+    # constructor stores NotImplemented
+    for build in (lambda: FockVector("x"), lambda: CellFunction(0, ["x"]), lambda: lift_to_pq(["x"])):
         with pytest.raises(TypeError):
             build()
-    assert P + UniPoly([1]) == UniPoly([ONE + P])
-
-
-def test_unipoly_trailing_zeros_are_stripped():
-    assert UniPoly([ONE, ZERO]).coeffs == (ONE,)
-    assert UniPoly([ZERO, ZERO]) == UniPoly([])

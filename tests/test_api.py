@@ -19,7 +19,7 @@ import pytest
 import onckesten
 
 PUBLIC = {
-    "MultiPoly", "UniPoly", "SetPartition", "OrderedPartition", "NestingForest",
+    "MultiPoly", "SetPartition", "OrderedPartition", "NestingForest",
     "IntervalSignature", "enumerate_nc", "enumerate_ordered", "is_noncrossing", "nesting_forest",
     "disorder_order_counts", "weight", "is_adapted", "MomentReport", "moment_report", "r_by_enumeration",
     "r_by_closed_form", "r_by_jacobi", "r_by_delaney", "sequences_by_recursion", "series_identity_checks",
@@ -41,7 +41,6 @@ DEFAULTED = {
     "MultiPoly.monomial(dp=0)",
     "MultiPoly.monomial(dq=0)",
     "MultiPoly.monomial(dt=0)",
-    "UniPoly(coeffs=())",
     "clt_leading_term(override_limits=False)",
     "clt_moment(override_limits=False)",
     "enumerate_nc(override_limits=False)",

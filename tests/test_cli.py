@@ -245,6 +245,23 @@ def test_usage_errors_exit_two(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_exact_numbers_past_the_int_str_digit_guard(capsys):
+    # 5,000 digits is past CPython's default 4,300-digit int <-> str limit, which
+    # main lifts while it runs and then gives back to its in-process caller
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, doc = run_json(capsys, "moments", "--n", "2", "--p", "7" * 5000, "--q", "1")
+        assert code == 0 and sys.get_int_max_str_digits() == 4300
+        # r_2 = 1 + (p + q)/2 = (77...7 + 3)/2
+        assert set(doc["routes"].values()) == {"3" + "8" * 4997 + "90"}
+        code, doc = run_json(capsys, "clt", "--N", "10", "--moment", "4", "--p", "1e5000", "--q", "1")
+        assert code == 0 and sys.get_int_max_str_digits() == 4300
+        assert (doc["value"], doc["limit"], doc["distance"]) == ("9" + "0" * 4998 + "31/20", "1" + "0" * 4999 + "3/2", "9" * 5000 + "/20")
+    finally:
+        sys.set_int_max_str_digits(outer)
+
+
 def test_unpaired_p_exits_before_computing(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("moment_report ran before the --p/--q check")

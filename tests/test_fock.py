@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from onckesten import fock, verify
-from onckesten.algebra import MultiPoly, ONE, P, Q, T, UniPoly, ZERO
+from onckesten.algebra import MultiPoly, ONE, P, Q, T, ZERO
 from onckesten.fock import (
     POISSON_OPERATOR_LIMIT,
     POSITION_MOMENT_LIMIT,
@@ -56,6 +56,14 @@ def test_overlap_message_says_what_is_accepted(endpoints):
         FockEngine.brownian(endpoints)
 
 
+def test_symbolic_interval_must_start_at_zero():
+    # the number operator's ramp qT + (p - q)x, and so gauge_n, assume [0, T]
+    with pytest.raises(ValueError, match="the symbolic interval is \\[0, T\\]: its lower end must be 0, not 3"):
+        FockEngine([Interval(F(3), None)])
+    engine = FockEngine([Interval(F(0), None)])
+    assert engine.word_vacuum_moment(parse_word("n")) == engine.word_vacuum_moment(parse_word("a*a")) == T
+
+
 def test_symbolic_gauges_rejected_on_concrete_engines():
     engine = FockEngine.brownian([(0, 1)])
     with pytest.raises(ValueError):
@@ -64,8 +72,60 @@ def test_symbolic_gauges_rejected_on_concrete_engines():
         engine.gauge_n(FockVector.unit())
 
 
+# -- cell polynomials: MultiPoly coefficient tuples -------------------------------------
+
+
+def test_cell_function_is_canonical():
+    assert CellFunction(0, (ONE, ZERO)) == CellFunction(0, (ONE,))
+    assert hash(CellFunction(0, (ONE, ZERO))) == hash(CellFunction(0, (ONE,)))
+    assert CellFunction(1, [1, F(1, 2), 0]).poly == (ONE, ONE / 2)
+    assert CellFunction(0, (ZERO, ZERO)).poly == ()
+    engine = FockEngine.poisson()
+    v = engine.create(0, FockVector.unit())
+    assert engine.gauge(0, (ONE, P, ZERO), T, v) == engine.gauge(0, [1, P], T, v)
+    for build in (lambda: CellFunction(0, (ONE, "x")), lambda: engine.gauge(0, ("x",), T, v)):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_cell_product_by_one_returns_the_other_factor():
+    for x in ((Q, ONE, P), (T,), (ONE + ONE,), (ZERO, ONE)):
+        assert fock._cell_mul(x, (ONE,)) is x
+        assert fock._cell_mul((ONE,), x) is x
+
+
+def test_cell_product_and_integral_evaluate_pointwise():
+    rng = random.Random(71)
+
+    def rand_cell_poly() -> tuple:
+        coeffs = [MultiPoly.monomial(F(rng.randint(-3, 3), rng.randint(1, 3)), *(rng.randint(0, 1) for _ in range(3)))
+                  for _ in range(rng.randint(1, 4))]
+        return CellFunction(0, coeffs + [ONE]).poly
+
+    for _ in range(30):
+        a, b = rand_cell_poly(), rand_cell_poly()
+        x = _c(F(rng.randint(-9, 9), rng.randint(1, 5)))
+        ab = fock._cell_mul(a, b)
+        assert len(ab) == len(a) + len(b) - 1
+        assert fock._cell_at(ab, x) == fock._cell_at(a, x) * fock._cell_at(b, x)
+        # the fold into the vacuum integrates: sum of a_k (hi^(k+1) - lo^(k+1)) / (k+1)
+        lo = F(rng.randint(-3, 3), rng.randint(1, 2))
+        hi = lo + F(rng.randint(1, 9), 2)
+        integral = FockEngine.brownian([(lo, hi)]).annihilate(0, FockVector(ZERO, {(CellFunction(0, a),): ONE}))
+        want = sum((c * ((hi ** (k + 1) - lo ** (k + 1)) / (k + 1)) for k, c in enumerate(a)), ZERO)
+        assert integral == FockVector(want, {})
+
+
+def test_cell_ramp_integral_golden():
+    # p(x - 1) + q(2 - x) is q at 1 and p at 2, and integrates to (p + q)/2 over [1, 2]
+    ramp = (Q * F(2) - P, P - Q)
+    assert fock._cell_at(ramp, _c(1)) == Q and fock._cell_at(ramp, _c(2)) == P
+    engine = FockEngine.brownian([(1, 2)])
+    assert engine.annihilate(0, FockVector(ZERO, {(CellFunction(0, ramp),): ONE})) == FockVector((P + Q) / F(2), {})
+
+
 def test_vector_drops_zero_terms():
-    v = FockVector(ZERO, {(CellFunction(0, UniPoly.constant(ZERO)),): ONE})
+    v = FockVector(ZERO, {(CellFunction(0, (ZERO,)),): ONE})
     assert v.is_zero
     assert FockVector(ONE, {}).add(FockVector(-ONE, {})).is_zero
 
@@ -169,7 +229,7 @@ def _random_vector(engine: FockEngine, rng: random.Random, symbolic: bool) -> Fo
         coeffs = [rand_scalar() for _ in range(rng.randint(1, 3))]
         if all(c.is_zero for c in coeffs):
             coeffs.append(ONE)
-        return CellFunction(i, UniPoly(coeffs))
+        return CellFunction(i, coeffs)
 
     v = FockVector(rand_scalar(), {})
     for _ in range(rng.randint(1, 3)):
@@ -182,14 +242,14 @@ def _random_vector(engine: FockEngine, rng: random.Random, symbolic: bool) -> Fo
 
 def _rand_cell_function(engine: FockEngine, rng: random.Random) -> CellFunction:
     coeffs = [MultiPoly.monomial(F(rng.randint(-2, 2)), rng.randint(0, 1)) for _ in range(rng.randint(1, 2))]
-    return CellFunction(rng.randrange(len(engine.intervals)), UniPoly(coeffs + [ONE]))
+    return CellFunction(rng.randrange(len(engine.intervals)), coeffs + [ONE])
 
 
 def _operator_outputs(engine: FockEngine, rng: random.Random, v: FockVector):
     """(name, thunk) for every operator applied to v with random arguments."""
     f, g = _rand_cell_function(engine, rng), _rand_cell_function(engine, rng)
     i = rng.randrange(len(engine.intervals))
-    h = UniPoly([MultiPoly.monomial(F(rng.randint(1, 3)), 0, 1), P])
+    h = (MultiPoly.monomial(F(rng.randint(1, 3)), 0, 1), P)
     other = _random_vector(engine, rng, symbolic=engine.symbolic)
     yield "create", lambda: engine.create(f, v)
     yield "annihilate", lambda: engine.annihilate(f, v)
@@ -220,7 +280,10 @@ def test_operator_outputs_keep_the_trusted_invariant(symbolic):
             assert isinstance(out.vacuum, MultiPoly), name
             for word, c in out.terms.items():
                 assert isinstance(c, MultiPoly) and not c.is_zero, name
-                assert not any(cell.poly.is_zero for cell in word), name
+                for cell in word:
+                    checked = CellFunction(cell.interval, cell.poly)
+                    assert cell.poly and cell == checked and hash(cell) == hash(checked), name
+                    assert all(isinstance(x, MultiPoly) for x in cell.poly), name
             assert (v.vacuum, v.terms) == before and out.terms is not v.terms, name
 
 
@@ -234,6 +297,7 @@ def test_moment_drivers_never_call_the_checking_constructor(monkeypatch):
         raise AssertionError("an operator output went through the checking constructor")
 
     monkeypatch.setattr(FockVector, "__init__", refuse)
+    monkeypatch.setattr(CellFunction, "__init__", refuse)
     assert (position_moment(sig), poisson_moment_by_operators(5), engine.word_vacuum_moment(tags)) == want
 
 
@@ -243,16 +307,16 @@ def test_zero_caller_polynomial_gives_the_zero_result():
     chi0, chi1 = engine.indicator(0), engine.indicator(1)
     # (chi0, chi0): the next cell is on the annihilated interval, so the fold makes a ramp
     v = FockVector(P, {(chi0, chi0): ONE, (chi0, chi1): Q, (chi1,): P + Q, (chi0,): T})
-    zero = CellFunction(0, UniPoly())
+    zero = CellFunction(0, ())
     assert engine.create(zero, v) == FockVector()
     assert engine.annihilate(zero, v) == FockVector()
-    assert engine.gauge(0, UniPoly(), _c(3), v) == FockVector(P * 3, {})
-    assert engine.gauge(1, UniPoly(), ZERO, v) == FockVector()
+    assert engine.gauge(0, (), _c(3), v) == FockVector(P * 3, {})
+    assert engine.gauge(1, (), ZERO, v) == FockVector()
     symbolic = FockEngine.poisson()
-    w = symbolic.create(0, symbolic.create(CellFunction(0, UniPoly([T, P])), FockVector.unit()))
-    assert symbolic.create(CellFunction(0, UniPoly()), w).is_zero
-    assert symbolic.annihilate(CellFunction(0, UniPoly()), w).is_zero
-    assert symbolic.gauge(0, UniPoly(), T, w) == FockVector()
+    w = symbolic.create(0, symbolic.create(CellFunction(0, (T, P)), FockVector.unit()))
+    assert symbolic.create(CellFunction(0, ()), w).is_zero
+    assert symbolic.annihilate(CellFunction(0, ()), w).is_zero
+    assert symbolic.gauge(0, (), T, w) == FockVector()
 
 
 def test_gauge_pair_of_indicator_is_piecewise_gauge():
@@ -265,7 +329,7 @@ def test_gauge_pair_of_indicator_is_piecewise_gauge():
         v = _random_vector(engine, rng, symbolic=False)
         for i, iv in enumerate(engine.intervals):
             lam = MultiPoly.constant(iv.hi - iv.lo)
-            ramp = UniPoly([Q * iv.hi - P * iv.lo, P - Q])
+            ramp = (Q * iv.hi - P * iv.lo, P - Q)
             outside = {
                 w: c * (P if w[0].interval > i else Q) * lam
                 for w, c in v.terms.items()
@@ -287,10 +351,10 @@ def test_truncated_number_operator_is_pair_gauge_of_indicator():
 def test_gauge_composes_into_annihilation_and_creation():
     engine = FockEngine.brownian([(0, 1), (1, 3)])
     rng = random.Random(37)
-    h = UniPoly([ONE, P])  # 1 + p x
+    h = (ONE, P)  # 1 + p x
     for i in (0, 1):
-        f = CellFunction(i, UniPoly([Q, ONE]))
-        fh = CellFunction(i, f.poly * h)
+        f = CellFunction(i, (Q, ONE))
+        fh = CellFunction(i, (Q, ONE + P * Q, P))  # (q + x)(1 + p x)
         for _ in range(10):
             v = _random_vector(engine, rng, symbolic=False)
             gauged = engine.gauge(i, h, ZERO, v)
@@ -314,13 +378,13 @@ def test_gauge_pair_vacuum_and_disjoint_behaviour():
 def test_annihilator_fold_goldens():
     engine = FockEngine.brownian([(0, 1), (2, 3)])
     chi0, chi1 = engine.indicator(0), engine.indicator(1)
-    x0 = CellFunction(0, UniPoly([ZERO, ONE]))
+    x0 = CellFunction(0, (ZERO, ONE))
     # head on a cell to the right picks up p, to the left q
     assert engine.annihilate(0, FockVector(ZERO, {(chi0, chi1): ONE})) == FockVector(ZERO, {(chi1,): P})
     assert engine.annihilate(1, FockVector(ZERO, {(chi1, chi0): ONE})) == FockVector(ZERO, {(chi0,): Q})
     # same cell: p int_0^u x dx + q int_u^1 x dx = q/2 + (p - q)/2 u^2
     folded = engine.annihilate(0, FockVector(ZERO, {(x0, chi0): ONE}))
-    ramp = CellFunction(0, UniPoly([Q / F(2), ZERO, (P - Q) / F(2)]))
+    ramp = CellFunction(0, (Q / F(2), ZERO, (P - Q) / F(2)))
     assert folded == FockVector(ZERO, {(ramp,): ONE})
     # the last factor folds into the vacuum: int_0^1 ramp = (p + 2q)/6
     assert engine.annihilate(0, folded) == FockVector((P + Q * F(2)) / F(6), {})
