@@ -32,6 +32,13 @@ def _term_sort_key(expo):
     return (expo[0] + expo[1] + expo[2], -expo[0], -expo[1], -expo[2])
 
 
+def _exponent(expo) -> tuple:  # a term's key: the exponents of p, q and T, each a nonnegative int
+    dp, dq, dt = expo
+    if not (isinstance(dp, int) and isinstance(dq, int) and isinstance(dt, int)) or min(dp, dq, dt) < 0:
+        raise ValueError(f"MultiPoly exponents must be nonnegative ints, not {(dp, dq, dt)}")
+    return dp, dq, dt
+
+
 class MultiPoly:
     """Sparse polynomial in (p, q, T) with exact rational coefficients.
 
@@ -44,13 +51,10 @@ class MultiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict = {}
         for expo, coeff in items:
-            dp, dq, dt = expo
-            if dp < 0 or dq < 0 or dt < 0:
-                raise ValueError("negative exponent in MultiPoly term")
             if not isinstance(coeff, (int, Fraction)):
                 coeff = Fraction(coeff)
-            key = (int(dp), int(dq), int(dt))
-            acc[key] = acc.get(key, 0) + coeff  # ints stay ints
+            acc[expo] = acc.get(expo, 0) + coeff  # ints stay ints
+        acc = {_exponent(e): c for e, c in acc.items()}  # one check per distinct exponent
         # every sum is in lowest terms, so over their lcm the numerators are coprime to it
         den = lcm(*(c.denominator for c in acc.values()))
         self._num = {e: c.numerator * (den // c.denominator) for e, c in acc.items() if c}
@@ -75,7 +79,7 @@ class MultiPoly:
     @classmethod
     def monomial(cls, coeff: Scalar, dp: int = 0, dq: int = 0, dt: int = 0) -> "MultiPoly":
         c = Fraction(coeff)
-        return cls._make({(dp, dq, dt): c.numerator}, c.denominator)
+        return cls._make({_exponent((dp, dq, dt)): c.numerator}, c.denominator)
 
     # -- inspection ---------------------------------------------------------
 

@@ -22,7 +22,8 @@ Output contracts, kept deliberately rigid so runs are byte-reproducible:
 Exit codes: 0 success, 1 any oracle/equality failure or failed quadrature
 (one stderr line, no stdout) or a reader that closed stdout early (no
 traceback), 2 usage errors.
-Rationals parse as "a/b" or decimal strings and must be nonnegative.
+Rationals parse as "a/b" or decimal strings, with at most 10,000 digits in
+numerator and denominator; --p and --q must be nonnegative.
 """
 
 from __future__ import annotations
@@ -43,11 +44,29 @@ from .partitions import IntervalSignature, _disorders, enumerate_nc, nesting_for
 SCHEMA = "onc-kesten/1"
 
 
+_DIGITS = 10_000  # rendering an exact value takes time quadratic in its digits
+_DIGIT_CAP = 10**_DIGITS
+
+
+def _exact(text: str, what: str) -> Fraction:
+    """Fraction(text) with at most _DIGITS digits in numerator and denominator, else ValueError. A nonzero
+    value with exponent E has over |E| - len(text) digits, so a larger |E| is refused before 10^|E| is built."""
+    exp = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    huge = exp.isdecimal() and (len(exp) > 12 or int(exp) > _DIGITS + len(text))
+    try:
+        value = None if huge else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(what)
+    if huge or max(abs(value.numerator), value.denominator) >= _DIGIT_CAP:
+        raise ValueError(f"exact inputs are bounded at {_DIGITS:,} digits in numerator and denominator")
+    return value
+
+
 def _rational(text: str) -> Fraction:
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational (use a/b or a decimal)")
+        value = _exact(text, f"{text!r} is not a rational (use a/b or a decimal)")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     if value < 0:
         raise argparse.ArgumentTypeError("parameters must be nonnegative")
     return value
@@ -86,10 +105,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_moments(args) -> int:
     report = moments.moment_report(args.n, route=args.route, override_limits=args.override_limits)
-    if args.p is not None:
-        routes = {name: str(poly.evaluate(args.p, args.q)) for name, poly in report.routes.items()}
-    else:
-        routes = {name: str(poly) for name, poly in report.routes.items()}
+    routes = {name: str(poly if args.p is None else poly.evaluate(args.p, args.q))
+              for name, poly in report.routes.items()}
     _print_json(
         {"schema": SCHEMA, "n": report.n, "routes": routes, "agreement": report.agreement}
     )
@@ -153,10 +170,8 @@ def _parse_intervals(text: str) -> dict:
     residue = re.sub(r"[,\s]", "", _INTERVAL_RE.sub("", text))
     if not found or residue:
         raise ValueError(f"cannot parse --intervals {text!r}; expected name=[lo,hi],...")
-    try:
-        return {name: (Fraction(lo), Fraction(hi)) for name, (lo, hi) in found.items()}
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"interval endpoints in {text!r} must be rationals")
+    what = f"interval endpoints in {text!r} must be rationals"
+    return {name: (_exact(lo, what), _exact(hi, what)) for name, (lo, hi) in found.items()}
 
 
 def _cmd_brownian(args) -> int:

@@ -178,7 +178,7 @@ class FockVector:
 class FockEngine:
     """Operator algebra over a fixed ladder of intervals.
 
-    Intervals are registered once, sorted left to right, and must have
+    Intervals are registered once, listed left to right, and must have
     pairwise disjoint interiors; index order equals spatial order, which is
     what the kernel w(s, t) consults.  The symbolic engine carries the single
     interval [0, T] and additionally supports the gauge pair (m, n).
@@ -196,8 +196,9 @@ class FockEngine:
             if not iv.symbolic and iv.hi <= iv.lo:
                 raise ValueError(f"empty interval [{iv.lo}, {iv.hi}]")
         for a, b in zip(self.intervals, self.intervals[1:]):
-            if b.lo < a.hi:
-                raise ValueError("intervals overlap; interiors must be disjoint, with a shared interval registered once")
+            if b.lo < a.hi:  # the kernel reads index order as spatial order, so the engine never sorts
+                raise ValueError("intervals must be listed left to right" if b.hi <= a.lo else
+                                 "intervals overlap; interiors must be disjoint, with a shared interval registered once")
         self._indicators = tuple(CellFunction._make(i, (ONE,)) for i in range(len(self.intervals)))
         self._bounds = tuple((MultiPoly.constant(iv.lo), T if iv.symbolic else MultiPoly.constant(iv.hi))
                              for iv in self.intervals)

@@ -33,7 +33,8 @@ each base's admissible colorings.  The routines differ only in the bases they
 stream, which colorings count (all k!, or interval-contiguous) and the scale.
 A base's colorings are counted, not listed: a hook-length DP on its nesting
 forest gives their number per e in time polynomial in k, once per forest
-shape.
+shape.  Interval-contiguous colorings are those of the forest of the edges
+inside one interval, divided by the k!/prod b_i! interleavings of the intervals.
 """
 
 from __future__ import annotations
@@ -77,14 +78,6 @@ def catalan(n: int) -> int:
 # and wraps enumerate_nc at this binding as at every other; _grouped_histogram
 # calls the shape core, not _coloring_histogram, so a rebound
 # _coloring_histogram sees the plain bases only.
-
-
-def _convolve(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _forest_shape(edges: Sequence, nodes: Iterable) -> tuple:
@@ -152,20 +145,16 @@ def _grouped_histogram(edges: Sequence, groups: Sequence) -> dict:
 
     ``groups`` lists block indices per interval, left interval first.  An
     edge between groups is inverted exactly when the child's group comes
-    first; the edges inside each group follow that group's own colorings.
+    first.  A coloring of the forest of the inner edges on all k blocks is a
+    grouped coloring plus an interleaving of the groups, which inverts no
+    inner edge, so that forest's histogram divides exactly by k!/prod |g|!.
     """
     rank = {b: r for r, g in enumerate(groups) for b in g}
-    inner: list = [[] for _ in groups]
-    fixed = 0
-    for pa, ch in edges:
-        if rank[pa] == rank[ch]:
-            inner[rank[pa]].append((pa, ch))
-        elif rank[ch] < rank[pa]:
-            fixed += 1
-    hist = [0] * fixed + [1]
-    for g, g_edges in zip(groups, inner):
-        hist = _convolve(hist, _forest_histogram(_forest_shape(g_edges, g)))
-    return {e: c for e, c in enumerate(hist) if c}
+    inner = [(pa, ch) for pa, ch in edges if rank[pa] == rank[ch]]
+    fixed = sum(rank[ch] < rank[pa] for pa, ch in edges)
+    interleavings = factorial(len(rank)) // prod(factorial(len(g)) for g in groups)
+    hist = _forest_histogram(_forest_shape(inner, rank))
+    return {e + fixed: c // interleavings for e, c in enumerate(hist) if c}
 
 
 def _coloring_sum(bases: Iterable) -> MultiPoly:
@@ -440,9 +429,7 @@ def _adapted_base(sp: SetPartition, sig: IntervalSignature) -> Optional[tuple]:
     if ranks is None:
         return None
     edges = nesting_forest(sp).edges
-    groups = [[] for _ in range(sig.interval_count)]
-    for bi, r in enumerate(ranks):
-        groups[r].append(bi)
+    groups = [[bi for bi, r in enumerate(ranks) if r == i] for i in range(sig.interval_count)]
     scale = prod(lam ** len(g) / factorial(len(g)) for lam, g in zip(sig.lengths, groups))
     return edges, _grouped_histogram(edges, groups), scale, 0
 

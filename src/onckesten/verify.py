@@ -456,12 +456,5 @@ def run_all(order: int = DEFAULT_ORDER, seed: int = DEFAULT_SEED) -> VerifyRepor
     try:
         errata = paper_errata()
     except Exception as exc:
-        errata = (
-            ErrataEntry(
-                name="errata-computation",
-                published="",
-                computed="",
-                resolution=f"raised {exc!r}",
-            ),
-        )
+        errata = (ErrataEntry(name="errata-computation", published="", computed="", resolution=f"raised {exc!r}"),)
     return VerifyReport(order=order, seed=seed, checks=tuple(results), errata=errata)

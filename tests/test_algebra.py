@@ -169,6 +169,14 @@ def test_t_coefficients_split():
     assert as_multipoly(F(2)) == MultiPoly.constant(F(2))
 
 
+def test_exponents_must_be_nonnegative_ints():
+    # monomial builds through the trusted _make, and int() used to truncate 0.5 to 0
+    for build in (lambda: MultiPoly.monomial(1, -1), lambda: MultiPoly({(0.5, 0, 0): 1}), lambda: MultiPoly.monomial(1, 0, 2.0)):
+        with pytest.raises(ValueError, match="MultiPoly exponents must be nonnegative ints"):
+            build()
+    assert MultiPoly.monomial(F(1, 2), 1, 0, 2) == MultiPoly({(1, 0, 2): 0.5}) == P * T**2 / 2
+
+
 def test_constructors_reject_what_is_not_a_polynomial():
     # as_multipoly raises for anything but MultiPoly, int and Fraction, so no
     # constructor stores NotImplemented

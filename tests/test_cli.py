@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,29 @@ def test_exact_numbers_past_the_int_str_digit_guard(capsys):
         assert (doc["value"], doc["limit"], doc["distance"]) == ("9" + "0" * 4998 + "31/20", "1" + "0" * 4999 + "3/2", "9" * 5000 + "/20")
     finally:
         sys.set_int_max_str_digits(outer)
+
+
+def test_exact_inputs_are_bounded_at_ten_thousand_digits(capsys):
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as main sets it while parsing
+    try:
+        for text in ("9" * 10_000, "1/" + "9" * 10_000, "1e9999", "1e-9999", "0." + "0" * 10_049 + "1e10050"):
+            assert cli._rational(text) >= 0  # 10,000 digits, or fewer than the exponent suggests
+        for text in ("1" + "0" * 10_000, "1e10000", "1e-10000", "1e99999999999999999999"):
+            with pytest.raises(cli.argparse.ArgumentTypeError, match="bounded at 10,000 digits"):
+                cli._rational(text)
+        with pytest.raises(ValueError, match="bounded at 10,000 digits"):
+            cli._parse_intervals("f=[0,1e20000]")
+    finally:
+        sys.set_int_max_str_digits(outer)
+    # the exponent is read before Fraction builds 10^E, so both exit at once
+    for exponent in ("1000000", "100000000"):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["moments", "--n", "2", "--p", "1e" + exponent, "--q", "1", "--route", "delaney"])
+        assert info.value.code == 2 and time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1].endswith("exact inputs are bounded at 10,000 digits in numerator and denominator")
 
 
 def test_unpaired_p_exits_before_computing(capsys, monkeypatch):

@@ -56,6 +56,13 @@ def test_overlap_message_says_what_is_accepted(endpoints):
         FockEngine.brownian(endpoints)
 
 
+def test_ladder_listed_right_to_left_is_refused_as_unordered():
+    # index order is the spatial order the kernel reads, so the engine does not sort
+    with pytest.raises(ValueError, match="^intervals must be listed left to right$"):
+        FockEngine([Interval(F(2), F(3)), Interval(F(0), F(1))])
+    assert FockEngine.brownian([(2, 3), (0, 1)]).intervals == (Interval(F(0), F(1)), Interval(F(2), F(3)))
+
+
 def test_symbolic_interval_must_start_at_zero():
     # the number operator's ramp qT + (p - q)x, and so gauge_n, assume [0, T]
     with pytest.raises(ValueError, match="the symbolic interval is \\[0, T\\]: its lower end must be 0, not 3"):
