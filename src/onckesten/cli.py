@@ -24,6 +24,11 @@ Exit codes: 0 success, 1 any oracle/equality failure or failed quadrature
 traceback), 2 usage errors.
 Rationals parse as "a/b" or decimal strings, with at most 10,000 digits in
 numerator and denominator; --p and --q must be nonnegative.
+
+A process imports only the layers its subcommand runs: enumerate partitions
+and algebra; moments and poisson moments; quadcheck moments and kesten;
+brownian fock and moments; clt discrete; verify everything; density only
+kesten, which every process loads for QuadratureError.
 """
 
 from __future__ import annotations
@@ -34,12 +39,8 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import permutations
 
-from . import discrete, fock, moments, verify as verify_mod
-from .algebra import MultiPoly
 from .kesten import KestenMeasure, QuadratureError
-from .partitions import IntervalSignature, _disorders, enumerate_nc, nesting_forest
 
 SCHEMA = "onc-kesten/1"
 
@@ -53,10 +54,14 @@ def _exact(text: str, what: str) -> Fraction:
     value with exponent E has over |E| - len(text) digits, so a larger |E| is refused before 10^|E| is built."""
     exp = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
     huge = exp.isdecimal() and (len(exp) > 12 or int(exp) > _DIGITS + len(text))
+    digits_limit = sys.get_int_max_str_digits()  # CPython's int <-> str guard stops at 4,300
+    sys.set_int_max_str_digits(0)
     try:
         value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(what)
+    finally:
+        sys.set_int_max_str_digits(digits_limit)
     if huge or max(abs(value.numerator), value.denominator) >= _DIGIT_CAP:
         raise ValueError(f"exact inputs are bounded at {_DIGITS:,} digits in numerator and denominator")
     return value
@@ -80,12 +85,33 @@ def _print_json(payload: dict):
 
 
 def _cmd_enumerate(args) -> int:
+    from .algebra import MultiPoly
+    from .partitions import enumerate_nc, nesting_forest
+
     # Each row is the text json.dumps would give: block and weight strings hold
-    # only digits and "{},^pq", so nothing in them needs escaping.
+    # only digits and "{},^pq", so nothing in them needs escaping.  A base's
+    # colorings are walked in lexicographic order, the order of
+    # permutations(range(k)); a prefix's text is built once, and placing block
+    # b adds its already placed children to the disorders (child before parent).
+    def walk(head, placed, e, rest):
+        if len(rest) > 2:
+            for i, b in enumerate(rest):
+                walk(head + texts[b] + ",", placed | 1 << b, e + (kids[b] & placed).bit_count(), rest[:i] + rest[i + 1:])
+        elif len(rest) == 2:
+            a, b = rest
+            e += (kids[a] & placed).bit_count() + (kids[b] & placed).bit_count()
+            rows.append(head + texts[a] + "," + texts[b] + ends[e + (kids[b] >> a & 1)])
+            rows.append(head + texts[b] + "," + texts[a] + ends[e + (kids[a] >> b & 1)])
+        else:
+            rows.append(head + texts[rest[0]] + ends[e])
+
     weights = {}  # (e, e') -> weight string
     for sp in enumerate_nc(args.n, pair_only=not args.general, override_limits=args.override_limits):
         forest = nesting_forest(sp)
         texts = ["{" + ",".join(map(str, b)) + "}" for b in sp.blocks]
+        kids = [0] * sp.block_count  # kids[b]: bitmask of b's children
+        for pa, ch in forest.edges:
+            kids[pa] |= 1 << ch
         tail = f', "inner": {forest.inner_count}, "outer": {forest.outer_count}, "covered": {json.dumps(sp.is_covered)}}}\n'
         ends = []  # ends[e]: the rest of a row after its blocks, for e disorders
         for e in range(forest.inner_count + 1):
@@ -93,18 +119,15 @@ def _cmd_enumerate(args) -> int:
             if (e, ep) not in weights:
                 weights[e, ep] = str(MultiPoly.monomial(1, e, ep))
             ends.append(f']", "e": {e}, "eprime": {ep}, "weight": "{weights[e, ep]}"{tail}')
-        pos = [0] * sp.block_count
         rows = []
-        for order in permutations(range(sp.block_count)):
-            for i, b in enumerate(order):
-                pos[b] = i
-            rows.append('{"blocks": "[' + ",".join([texts[b] for b in order]) + ends[_disorders(forest.edges, pos)])
+        walk('{"blocks": "[', 0, 0, tuple(range(sp.block_count)))
         sys.stdout.write("".join(rows))
     return 0
 
 
 def _cmd_moments(args) -> int:
-    report = moments.moment_report(args.n, route=args.route, override_limits=args.override_limits)
+    from .moments import moment_report
+    report = moment_report(args.n, route=args.route, override_limits=args.override_limits)
     routes = {name: str(poly if args.p is None else poly.evaluate(args.p, args.q))
               for name, poly in report.routes.items()}
     _print_json(
@@ -114,7 +137,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_mod.run_all(order=args.order, seed=args.seed)
+    from .verify import run_all
+    report = run_all(order=args.order, seed=args.seed)
     _print_json(
         {
             "schema": SCHEMA,
@@ -142,8 +166,9 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_quadcheck(args) -> int:
+    from .moments import sequences_by_recursion
     mu = KestenMeasure(args.p, args.q)
-    table = moments.sequences_by_recursion(max(1, (args.nmax + 1) // 2))
+    table = sequences_by_recursion(max(1, (args.nmax + 1) // 2))
     rows = []
     ok = True
     for n in range(1, args.nmax + 1):
@@ -175,13 +200,16 @@ def _parse_intervals(text: str) -> dict:
 
 
 def _cmd_brownian(args) -> int:
+    from .fock import position_moment
+    from .moments import mixed_moment_brownian
+    from .partitions import IntervalSignature
     names = tuple(args.signature.split())
     if not names:
         raise ValueError("--signature must list at least one interval name")
     intervals = _parse_intervals(args.intervals)
     sig = IntervalSignature.from_named_intervals(names, intervals)
-    operator = fock.position_moment(sig, override_limits=args.override_limits)
-    combinatorial = moments.mixed_moment_brownian(sig, override_limits=args.override_limits)
+    operator = position_moment(sig, override_limits=args.override_limits)
+    combinatorial = mixed_moment_brownian(sig, override_limits=args.override_limits)
     equal = operator == combinatorial
     _print_json(
         {
@@ -197,13 +225,15 @@ def _cmd_brownian(args) -> int:
 
 
 def _cmd_poisson(args) -> int:
-    print(str(moments.poisson_moment(args.n, override_limits=args.override_limits)))
+    from .moments import poisson_moment
+    print(str(poisson_moment(args.n, override_limits=args.override_limits)))
     return 0
 
 
 def _cmd_clt(args) -> int:
-    value = discrete.clt_moment(args.N, args.moment, override_limits=args.override_limits)
-    limit = discrete.clt_leading_term(args.moment, override_limits=args.override_limits)
+    from .discrete import clt_leading_term, clt_moment
+    value = clt_moment(args.N, args.moment, override_limits=args.override_limits)
+    limit = clt_leading_term(args.moment, override_limits=args.override_limits)
     payload = {"schema": SCHEMA, "N": args.N, "moment": args.moment}
     if args.p is not None:
         v = value.evaluate(args.p, args.q)
@@ -218,7 +248,9 @@ def _cmd_clt(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """Every subcommand is listed, but only the one named in argv (its first
+    word) gets its arguments: adding them loads only the layers it runs."""
     parser = argparse.ArgumentParser(
         prog="onckesten",
         description="Exact two-parameter interpolation lab: ordered non-crossing "
@@ -231,95 +263,75 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=_rational, required=required, default=None, help="order weight q (a/b or decimal)")
 
     def add_override(p):
-        p.add_argument(
-            "--override-limits",
-            action="store_true",
-            help="lift the built-in size guards (runtimes grow factorially)",
-        )
+        p.add_argument("--override-limits", action="store_true", help="lift the built-in size guards (runtimes grow factorially)")
 
-    p_enum = sub.add_parser(
-        "enumerate",
-        help="ordered non-crossing partitions as JSON lines",
-        description="One JSON object per ordered partition, blocks listed in coloring "
-        "order, with disorder/order counts, weight monomial, nesting statistics and coveredness.",
-    )
-    p_enum.add_argument("--n", type=int, required=True, help="ground-set size")
-    p_enum.add_argument("--general", action="store_true", help="all block sizes, not only pairs")
-    add_override(p_enum)
-    p_enum.set_defaults(fn=_cmd_enumerate)
+    def enumerate_args(p):
+        p.add_argument("--n", type=int, required=True, help="ground-set size")
+        p.add_argument("--general", action="store_true", help="all block sizes, not only pairs")
+        add_override(p)
 
-    p_mom = sub.add_parser(
-        "moments",
-        help="moment r_n by one or all routes",
-        description="Canonical polynomial per route; with --p/--q, exact rational values.",
-    )
-    p_mom.add_argument("--n", type=int, required=True)
-    p_mom.add_argument("--route", choices=("all",) + moments.ROUTE_NAMES, default="all")
-    add_pq(p_mom)
-    add_override(p_mom)
-    p_mom.set_defaults(fn=_cmd_moments)
+    def moments_args(p):
+        from .moments import ROUTE_NAMES
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--route", choices=("all",) + ROUTE_NAMES, default="all")
+        add_pq(p)
+        add_override(p)
 
-    p_ver = sub.add_parser(
-        "verify",
-        help="run the full cross-verification suite",
-        description="Named identity checks (stopping at the first failure) plus the "
-        "paper_errata section; exit 1 unless everything passes.",
-    )
-    p_ver.add_argument("--order", type=int, default=verify_mod.DEFAULT_ORDER, help=f"moment order for the agreement checks (1..{verify_mod.MAX_ORDER})")
-    p_ver.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED, help="seed for the randomized signatures")
-    p_ver.set_defaults(fn=_cmd_verify)
+    def verify_args(p):
+        from .verify import DEFAULT_ORDER, DEFAULT_SEED, MAX_ORDER
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"moment order for the agreement checks (1..{MAX_ORDER})")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the randomized signatures")
 
-    p_den = sub.add_parser(
-        "density",
-        help="measure density as CSV plus an atom table",
-        description="CSV section 'x,density' on a uniform grid over the support, a blank "
-        "line, then CSV section 'atom,mass' (two rows when p+q < 1, none otherwise).",
-    )
-    add_pq(p_den, required=True)
-    p_den.add_argument("--grid", type=int, default=101, help="number of grid points (>= 2)")
-    p_den.set_defaults(fn=_cmd_density)
+    def density_args(p):
+        add_pq(p, required=True)
+        p.add_argument("--grid", type=int, default=101, help="number of grid points (>= 2)")
 
-    p_quad = sub.add_parser(
-        "quadcheck",
-        help="quadrature moments vs exact rational moments",
-        description="JSON rows (n, quadrature, exact, abs_error); exit 1 if any error "
-        "exceeds the tolerance.",
-    )
-    add_pq(p_quad, required=True)
-    p_quad.add_argument("--nmax", type=int, default=10, help="check moments 1..nmax")
-    p_quad.add_argument("--tol", type=float, default=1e-8)
-    p_quad.set_defaults(fn=_cmd_quadcheck)
+    def quadcheck_args(p):
+        add_pq(p, required=True)
+        p.add_argument("--nmax", type=int, default=10, help="check moments 1..nmax")
+        p.add_argument("--tol", type=float, default=1e-8)
 
-    p_br = sub.add_parser(
-        "brownian",
-        help="mixed-interval moment by both routes",
-        description='Example: brownian --signature "f f g g f f" --intervals "g=[0,1],f=[1,2]"',
-    )
-    p_br.add_argument("--signature", required=True, help="space-separated interval names, one per factor")
-    p_br.add_argument("--intervals", required=True, help='declarations like "g=[0,1],f=[1,2]", each name once')
-    add_override(p_br)
-    p_br.set_defaults(fn=_cmd_brownian)
+    def brownian_args(p):
+        p.add_argument("--signature", required=True, help="space-separated interval names, one per factor")
+        p.add_argument("--intervals", required=True, help='declarations like "g=[0,1],f=[1,2]", each name once')
+        add_override(p)
 
-    p_poi = sub.add_parser(
-        "poisson",
-        help="compound moment as a polynomial in p, q, T",
-    )
-    p_poi.add_argument("--n", type=int, required=True)
-    add_override(p_poi)
-    p_poi.set_defaults(fn=_cmd_poisson)
+    def poisson_args(p):
+        p.add_argument("--n", type=int, required=True)
+        add_override(p)
 
-    p_clt = sub.add_parser(
-        "clt",
-        help="exact moment of the normalized sum of N positions",
-        description="Exact phi(S_N^n) and its N -> infinity limit; with --p/--q both are "
-        "evaluated and the exact distance reported.",
-    )
-    p_clt.add_argument("--N", type=int, required=True)
-    p_clt.add_argument("--moment", type=int, required=True)
-    add_pq(p_clt)
-    add_override(p_clt)
-    p_clt.set_defaults(fn=_cmd_clt)
+    def clt_args(p):
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--moment", type=int, required=True)
+        add_pq(p)
+        add_override(p)
 
+    named = next((word for word in argv if not word.startswith("-")), None)
+    for name, fn, add_args, help_line, description in (
+        ("enumerate", _cmd_enumerate, enumerate_args, "ordered non-crossing partitions as JSON lines",
+         "One JSON object per ordered partition, blocks listed in coloring order, with disorder/order counts, "
+         "weight monomial, nesting statistics and coveredness."),
+        ("moments", _cmd_moments, moments_args, "moment r_n by one or all routes",
+         "Canonical polynomial per route; with --p/--q, exact rational values."),
+        ("verify", _cmd_verify, verify_args, "run the full cross-verification suite",
+         "Named identity checks (stopping at the first failure) plus the paper_errata section; exit 1 unless "
+         "everything passes."),
+        ("density", _cmd_density, density_args, "measure density as CSV plus an atom table",
+         "CSV section 'x,density' on a uniform grid over the support, a blank line, then CSV section "
+         "'atom,mass' (two rows when p+q < 1, none otherwise)."),
+        ("quadcheck", _cmd_quadcheck, quadcheck_args, "quadrature moments vs exact rational moments",
+         "JSON rows (n, quadrature, exact, abs_error); exit 1 if any error exceeds the tolerance."),
+        ("brownian", _cmd_brownian, brownian_args, "mixed-interval moment by both routes",
+         'Example: brownian --signature "f f g g f f" --intervals "g=[0,1],f=[1,2]"'),
+        ("poisson", _cmd_poisson, poisson_args, "compound moment as a polynomial in p, q, T", None),
+        ("clt", _cmd_clt, clt_args, "exact moment of the normalized sum of N positions",
+         "Exact phi(S_N^n) and its N -> infinity limit; with --p/--q both are evaluated and the exact "
+         "distance reported."),
+    ):
+        p = sub.add_parser(name, help=help_line, description=description)
+        if name == named:
+            add_args(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
@@ -329,7 +341,7 @@ def main(argv=None) -> int:
     digits_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
+        parser = build_parser(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         if getattr(args, "grid", 2) < 2:
             parser.error("--grid must be at least 2")

@@ -16,7 +16,7 @@ import pytest
 import oracles
 from onckesten import cli
 from onckesten.fock import POSITION_MOMENT_LIMIT
-from onckesten.partitions import PAIR_ENUM_LIMIT
+from onckesten.partitions import PAIR_ENUM_LIMIT, disorder_order_counts, enumerate_ordered
 
 R3 = "1 + p + q + 1/2p^2 + pq + 1/2q^2"
 
@@ -286,11 +286,25 @@ def test_exact_inputs_are_bounded_at_ten_thousand_digits(capsys):
         assert out == "" and err.splitlines()[-1].endswith("exact inputs are bounded at 10,000 digits in numerator and denominator")
 
 
+def test_rational_lifts_the_int_str_guard_itself():
+    # called outside main, a 10,000-digit input still parses, and the caller keeps its guard
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert cli._rational("9" * 10_000) == 10**10_000 - 1
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(cli.argparse.ArgumentTypeError, match="bounded at 10,000 digits"):
+            cli._rational("9" * 10_001)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(outer)
+
+
 def test_unpaired_p_exits_before_computing(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("moment_report ran before the --p/--q check")
 
-    monkeypatch.setattr(cli.moments, "moment_report", refuse)
+    monkeypatch.setattr("onckesten.moments.moment_report", refuse)
     with pytest.raises(SystemExit) as info:
         cli.main(["moments", "--n", "7", "--p", "1/2"])
     assert info.value.code == 2
@@ -348,6 +362,67 @@ def test_enumerate_rows_are_canonical_json(capsys, argv):
     assert code == 0
     lines = out.splitlines()
     assert lines and all(json.dumps(json.loads(line)) == line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "n, general", [(10, False), (7, True), (1, True), (2, False)], ids=["10", "7-general", "1-general", "2"]
+)
+def test_enumerate_rows_follow_the_ordered_partitions(capsys, n, general):
+    # the coloring walk against enumerate_ordered and disorder_order_counts, row by row
+    code, out = run_cli(capsys, "enumerate", "--n", str(n), *(["--general"] if general else []))
+    rows = [json.loads(line) for line in out.splitlines()]
+    ordered = list(enumerate_ordered(n, pair_only=not general))
+    assert code == 0 and len(rows) == len(ordered)
+    for row, op in zip(rows, ordered):
+        assert row["blocks"] == str(op)
+        assert (row["e"], row["eprime"]) == disorder_order_counts(op)
+
+
+LAYERS = ("onckesten.moments", "onckesten.fock", "onckesten.discrete", "onckesten.verify")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["--help"], []),
+        (["density", "--p", "1", "--q", "1", "--grid", "3"], []),
+        (["enumerate", "--n", "4"], []),
+        (["clt", "--N", "10", "--moment", "2"], ["onckesten.discrete"]),
+        (["density", "--p", "1"], []),  # --q missing
+        (["enumerate", "--n", "x"], []),
+        (["nosuchcommand"], []),
+    ],
+    ids=["help", "density", "enumerate", "clt", "density-without-q", "enumerate-bad-n", "unknown-command"],
+)
+def test_each_subcommand_loads_only_its_layers(argv, loaded):
+    # a fresh interpreter runs main, then names the heavy layers it holds on its last stderr line
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (
+        "import sys\nfrom onckesten import cli\n"
+        "try:\n    cli.main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+        f"print('loaded:', *sorted(m for m in sys.modules if m in {LAYERS!r}), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.stderr.splitlines()[-1].split() == ["loaded:", *loaded]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--help"], "b5303d52f576ffc9868c0e01bb8723261b34f0caf4a4893312ab8cc33f4d5195"),
+        (["moments", "--help"], "66bdfe3483a562ac769787663f2a81f009345b04146e730f05aa66a355c7406f"),
+        (["verify", "--help"], "ec06e67910e2125af36b7c336e68fb9e40a00f2e4a4cad6af5756753c5edf184"),
+    ],
+    ids=["top", "moments", "verify"],
+)
+def test_help_text_golden_digests(capsys, monkeypatch, argv, digest):
+    # sha256 of the help text at 80 columns; the parser reads route names and verify defaults lazily
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_closed_pipe_exits_one_without_traceback():
