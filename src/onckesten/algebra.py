@@ -141,11 +141,11 @@ class MultiPoly:
         return as_multipoly(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):  # first: a miss on Fraction runs ABCMeta.__instancecheck__
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             num = {e: c * other.numerator for e, c in self._num.items()}
             return MultiPoly._make(num, self._den * other.denominator)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         out: dict = {}
         for (a1, a2, a3), ca in self._num.items():
             for (b1, b2, b3), cb in other._num.items():
@@ -193,10 +193,10 @@ class MultiPoly:
     # -- comparisons and rendering -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):  # as in __mul__
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):

@@ -19,8 +19,8 @@ Output contracts, kept deliberately rigid so runs are byte-reproducible:
 - ``clt``          one JSON document with the exact moment of the normalized
                    sum, its limit, and (under --p/--q) the exact distance.
 
-Exit codes: 0 success, 1 any oracle/equality failure or failed quadrature
-(one stderr line, no stdout) or a reader that closed stdout early (no
+Exit codes: 0 success, 1 any oracle/equality failure, failed computation
+(one stderr line, no stdout) or reader that closed stdout early (no
 traceback), 2 usage errors.
 Rationals parse as "a/b" or decimal strings, with at most 10,000 digits in
 numerator and denominator; --p and --q must be nonnegative.
@@ -28,7 +28,7 @@ numerator and denominator; --p and --q must be nonnegative.
 A process imports only the layers its subcommand runs: enumerate partitions
 and algebra; moments and poisson moments; quadcheck moments and kesten;
 brownian fock and moments; clt discrete; verify everything; density only
-kesten, which every process loads for QuadratureError.
+kesten.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-
-from .kesten import KestenMeasure, QuadratureError
 
 SCHEMA = "onc-kesten/1"
 
@@ -156,6 +154,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .kesten import KestenMeasure
     mu = KestenMeasure(args.p, args.q)
     steps = args.grid - 1
     xs = [-mu.edge + (2.0 * mu.edge) * i / steps for i in range(args.grid)] if mu.edge > 0 else []
@@ -166,6 +165,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_quadcheck(args) -> int:
+    from .kesten import KestenMeasure
     from .moments import sequences_by_recursion
     mu = KestenMeasure(args.p, args.q)
     table = sequences_by_recursion(max(1, (args.nmax + 1) // 2))
@@ -355,13 +355,13 @@ def main(argv=None) -> int:
             return args.fn(args)
         except ValueError as exc:
             parser.error(str(exc))
-        except QuadratureError as exc:
-            print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
-            return 1
         except BrokenPipeError:
             # The reader closed stdout.  Point it at the null device so that the
             # flush at interpreter exit cannot fail a second time.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        except Exception as exc:  # a failed computation: a QuadratureError or any other
+            print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
             return 1
     finally:
         sys.set_int_max_str_digits(digits_limit)

@@ -31,16 +31,14 @@ a*(chi) a(chi) checks the fold against code it does not share.  Words over
 {a, a*, m, n} reproduce the ordered-partition weights, which is what the
 cross-verification suite exercises.
 
-The three moment routines (``FockEngine.word_vacuum_moment``, ``position_moment``,
-``poisson_moment_by_operators``) only list their steps, each an operator and
-whether it can shorten a word; ``_walk`` applies them to the vacuum.  Only
-annihilators shorten a word, by one factor each, and gauges keep its length,
-so after every step the walk drops each word longer than the number of
-shortening steps still to come: such a word never reaches the vacuum, and
-dropping it is exact.  Beside it, ``_walk_family`` evaluates every word up to
-a given length over an alphabet as one suffix tree, with the same argument:
-after a node's step it drops each word longer than the number of letters
-that may still be prepended.
+Every vacuum amplitude comes from one walk, ``_walk``: a depth-first suffix
+tree over per-position choices of operator, applied to the vacuum rightmost
+first.  A node applies one operator to its parent's vector, so a shared
+suffix is computed once, and a single word is the tree with one choice per
+position.  Only annihilators shorten a word, by one factor each, and gauges
+keep its length.  So a word longer than the number of later positions with
+a shortening choice never reaches the vacuum; every node drops such words,
+and dropping them is exact.
 
 Operators build outputs with the trusted ``FockVector._make`` and
 ``CellFunction._make``, callers with the checking constructors.  Only a
@@ -51,14 +49,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .algebra import MultiPoly, ONE, P, Q, T, ZERO, _bump, _check_size, as_multipoly
 from .partitions import IntervalSignature, SetPartition
 
-# operator steps: each step rewrites every live word short enough to still
-# reach the vacuum (``_walk``); the running time grows about 1.8x per extra
+# operator steps: each step of the walk rewrites every live word short enough
+# to still reach the vacuum; the running time grows about 1.8x per extra
 # factor of a position moment and 2.3x per extra power of (a + a* + n + m)
 POSITION_MOMENT_LIMIT = 14
 POISSON_OPERATOR_LIMIT = 10
@@ -87,7 +86,7 @@ def _cell_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _cell_at(g: tuple, x: MultiPoly) -> MultiPoly:
-    return reduce(lambda acc, c: acc * x + c, reversed(g), ZERO)  # Horner's scheme
+    return reduce(lambda acc, c: acc * x + c, reversed(g[:-1]), g[-1])  # Horner's scheme
 
 
 @dataclass(frozen=True)
@@ -315,7 +314,7 @@ class FockEngine:
     def gauge_m(self, v: FockVector) -> FockVector:
         """Plain gauge on [0, T]: identity on words, kills the vacuum."""
         self._require_symbolic()
-        return FockVector._make(ZERO, dict(v.terms))  # every word starts on the only cell, 0
+        return self.gauge(0, (ONE,), ZERO, v)
 
     def gauge_n(self, v: FockVector) -> FockVector:
         """Truncated number operator: multiply by qT + (p-q)x, T on the vacuum."""
@@ -343,72 +342,61 @@ class FockEngine:
             return self.gauge_m if kind == "m" else self.gauge_n
         raise ValueError(f"unknown operator tag {tag!r}")
 
-    def apply_tag(self, tag, v: FockVector) -> FockVector:
-        return self._operator(tag)(v)
-
     def word_vacuum_moment(self, tags: Sequence) -> MultiPoly:
         """Vacuum amplitude of the operator word (rightmost factor acts first).
 
         Every tag is resolved before the first step, so a bad tag raises even
         where the word dies early.
         """
-        return _walk([(self._operator(tag), tag[0] == "a*") for tag in reversed(tuple(tags))])
+        return _moment([(choice,) for choice in self._choices(reversed(tuple(tags)))])
+
+    def _choices(self, tags) -> list:  # walk choices (tag, operator, shortens): only a* shortens a word
+        return [(tag, self._operator(tag), tag[0] == "a*") for tag in tags]
 
 
-def _walk(steps: Sequence) -> MultiPoly:
-    """Vacuum amplitude of the ``(operator, shortens)`` steps applied to the vacuum in turn.
+def _walk(positions: Sequence):
+    """Yield ``(word, amplitude)`` for each word over ``positions`` with a nonzero vacuum amplitude.
 
-    Only a shortening step can shorten a word, and by one factor at most.  So
-    after each step a word longer than the number of shortening steps still to
-    come never reaches the vacuum; the walk drops it from the step's new vector
-    in place, which is exact.  Reads word lengths and the ``shortens`` flags only.
+    ``positions`` lists each position's choices ``(tag, operator, shortens)``,
+    rightmost first.  A word takes one choice at each of the first j
+    positions, for some j >= 1, and is the tuple of their tags read left to
+    right.  Each node drops the words that cannot reach the vacuum (module
+    docstring); a branch ends at a vector that is zero after the drop.
     """
-    horizon = sum(shortens for _, shortens in steps)
-    v = FockVector.unit()
-    for op, shortens in steps:
-        horizon -= shortens
-        v = op(v)
-        if any(len(word) > horizon for word in v.terms):
-            v.terms = {word: c for word, c in v.terms.items() if len(word) <= horizon}
-        if v.is_zero:
-            return ZERO
-    return v.vacuum
-
-
-def _walk_family(engine: FockEngine, alphabet: Sequence, length: int):
-    """Yield ``(word, amplitude)`` for each word of 1..``length`` tags over ``alphabet`` with a nonzero vacuum amplitude.
-
-    The family is a suffix tree, walked depth-first from the right: a node
-    applies one operator to its parent's vector, so a shared suffix is
-    computed once.  A word in a node's vector that is longer than the number
-    of letters that may still be prepended never reaches the vacuum, so the
-    node drops it, exactly as ``_walk`` does; a branch ends at a vector that
-    is zero after the drop.  Words are tag tuples read left to right, and
-    each step resolves through ``engine._operator``.
-    """
-    ops = tuple((tag, engine._operator(tag)) for tag in alphabet)
+    room = [0] * len(positions)  # room[k]: the positions after k with a shortening choice
+    for k in range(len(positions) - 1, 0, -1):
+        room[k - 1] = room[k] + any(map(itemgetter(2), positions[k]))
     stack = [((), FockVector.unit())]
     while stack:
         suffix, v = stack.pop()
-        room = length - len(suffix) - 1  # letters that may still be prepended to a child
-        for tag, op in ops:
+        k = len(suffix)
+        r = room[k]
+        for tag, op, _ in positions[k]:
             child = op(v)
-            if any(len(word) > room for word in child.terms):
-                child.terms = {word: c for word, c in child.terms.items() if len(word) <= room}
+            if any(len(word) > r for word in child.terms):
+                child.terms = {word: c for word, c in child.terms.items() if len(word) <= r}
             if child.is_zero:
                 continue
             word = (tag,) + suffix
             if not child.vacuum.is_zero:
                 yield word, child.vacuum
-            if room:
+            if k + 1 < len(positions):
                 stack.append((word, child))
+
+
+def _moment(positions: Sequence) -> MultiPoly:
+    """Vacuum amplitude of the one full-length word over ``positions``, which have one choice each."""
+    for word, amp in _walk(positions):
+        if len(word) == len(positions):
+            return amp
+    return ZERO
 
 
 def position_moment(sig: IntervalSignature, override_limits: bool = False) -> MultiPoly:
     """Vacuum moment of omega(f_1)...omega(f_n) along the signature."""
     _check_size("position moment", sig.n, POSITION_MOMENT_LIMIT, override_limits)
     engine = FockEngine.from_signature(sig)
-    return _walk([(lambda v, rank=rank: engine.omega(rank, v), True) for rank in reversed(sig.assignment)])
+    return _moment([((rank, partial(engine.omega, rank), True),) for rank in reversed(sig.assignment)])
 
 
 def poisson_moment_by_operators(n: int, override_limits: bool = False) -> MultiPoly:
@@ -419,7 +407,7 @@ def poisson_moment_by_operators(n: int, override_limits: bool = False) -> MultiP
     def step(v: FockVector) -> FockVector:
         return engine.create(0, v).add(engine.annihilate(0, v)).add(engine.gauge_n(v)).add(engine.gauge_m(v))
 
-    return _walk([(step, True)] * n)
+    return _moment([(("a+a*+n+m", step, True),)] * n)
 
 
 def word_for_partition(sp: SetPartition) -> tuple:

@@ -12,7 +12,7 @@ with no horizon.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import chain, groupby, permutations, product
 from math import factorial
 
 
@@ -148,11 +148,40 @@ def mixed_moment(assignment, lengths) -> dict:
     return out
 
 
+def free_position_moment(assignment, lengths) -> Fraction:
+    """Vacuum moment of omega_{r_1}...omega_{r_n} at p = q = 1, on the full Fock space.
+
+    Words of orthogonal vectors e_i with <e_i, e_i> = lengths[i]; omega_i is
+    l(e_i) + l(e_i)*, and the rightmost factor acts first.
+    """
+    v = {(): Fraction(1)}
+    for i in reversed(assignment):
+        out = {}
+        for word, c in v.items():
+            out[(i,) + word] = out.get((i,) + word, 0) + c
+            if word and word[0] == i:
+                out[word[1:]] = out.get(word[1:], 0) + c * lengths[i]
+        v = out
+    return v.get((), Fraction(0))
+
+
+def boolean_position_moment(assignment, lengths) -> Fraction:
+    """The same moment at p = q = 0: the product over maximal same-interval runs
+    of lengths[i]^(m/2), m the run's size, and 0 if any run is odd."""
+    out = Fraction(1)
+    for i, run in groupby(assignment):
+        m = len(list(run))
+        if m % 2:
+            return Fraction(0)
+        out *= Fraction(lengths[i]) ** (m // 2)
+    return out
+
+
 def unpruned_word_moment(engine, vacuum, tags):
     """Vacuum amplitude of an operator word, every tag applied (rightmost first)."""
     v = vacuum
     for tag in reversed(tuple(tags)):
-        v = engine.apply_tag(tag, v)
+        v = engine._operator(tag)(v)
     return v.vacuum
 
 

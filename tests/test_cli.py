@@ -319,6 +319,17 @@ def test_failed_computation_exits_one_without_traceback(capsys):
     assert "Traceback" not in err and len(err.splitlines()) == 1 and "best estimate" in err
 
 
+def test_unexpected_error_exits_one_with_one_stderr_line(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("remainder 1/3")
+
+    monkeypatch.setattr("onckesten.moments.moment_report", fail)
+    code = cli.main(["moments", "--n", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "onckesten moments: error: remainder 1/3\n"
+
+
 def test_size_guard_names_the_override_flag(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["clt", "--N", "10", "--moment", "8"])
@@ -504,8 +515,10 @@ def test_benchmark_operator_counter_sees_every_fock_step():
         "position_moment(IntervalSignature.single(2))\n"
         "print(tracer.counts['fock.operator_calls'])\n"
         "FockEngine.brownian([(0, 1), (2, 3)]).word_vacuum_moment((('a*', 1), ('a*', 0), ('a', 0), ('a', 1)))\n"
+        "print(tracer.counts['fock.operator_calls'])\n"
+        "FockEngine.poisson().word_vacuum_moment(parse_word('a*ma'))\n"
         "print(tracer.counts['fock.operator_calls'])"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["3", "7", "11"]
+    assert proc.stdout.split() == ["3", "7", "11", "14"]  # a*ma is three steps, its m step a gauge

@@ -26,7 +26,7 @@ from onckesten.fock import (
     word_admits_partition,
     word_for_partition,
 )
-from onckesten.moments import poisson_moment, sequences_by_recursion
+from onckesten.moments import mixed_moment_brownian, poisson_moment, sequences_by_recursion
 from onckesten.partitions import IntervalSignature, SetPartition
 
 F = Fraction
@@ -218,9 +218,8 @@ def test_parse_word_round_trip_and_errors():
     assert parse_word("a* m a") == (("a*", 0), ("m", 0), ("a", 0))
     with pytest.raises(ValueError):
         parse_word("a*b")
-    engine = FockEngine.poisson()
     with pytest.raises(ValueError):
-        engine.apply_tag(("x", 0), FockVector.unit())
+        FockEngine.poisson().word_vacuum_moment((("x", 0),))
 
 
 # -- operator identities on random vectors ---------------------------------------------
@@ -513,7 +512,7 @@ def _assert_word_family_matches_unpruned_oracle(engine, alphabet):
             assert engine.word_vacuum_moment(tags) == want, tags
             if not want.is_zero:
                 nonzero[tags] = want
-    family = list(fock._walk_family(engine, alphabet, 6))
+    family = list(fock._walk([engine._choices(alphabet)] * 6))
     assert len(family) == len(nonzero) and dict(family) == nonzero
     return len(nonzero)
 
@@ -527,6 +526,37 @@ def test_pruned_word_moment_matches_unpruned_oracle_on_two_intervals():
     engine = FockEngine.brownian([(0, 1), (2, F(7, 2))])
     alphabet = [(kind, i) for kind in ("a", "a*") for i in (0, 1)]
     assert _assert_word_family_matches_unpruned_oracle(engine, alphabet) == 50
+
+
+# -- position moments at the free (1, 1) and boolean (0, 0) corners ------------------------
+
+
+def _corner_signatures():
+    # palindromes pair off nested, doubled letters pair off adjacent, and random draws mostly vanish
+    rng = random.Random(3109)
+    for shape in itertools.islice(itertools.cycle(("mirror", "doubled", "random")), 120):
+        k = rng.randint(1, 3)
+        lengths = tuple(F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(k))
+        half = [rng.randrange(k) for _ in range(rng.randint(1, 5))]
+        assignment = {"mirror": half + half[::-1], "doubled": [i for i in half for _ in range(2)],
+                      "random": [rng.randrange(k) for _ in range(rng.randint(1, 10))]}[shape]
+        yield IntervalSignature(lengths, tuple(assignment))
+    lengths = (F(1), F(2), F(3, 2), F(1, 3))
+    for assignment in ((0, 0, 1, 1, 2, 2, 2, 2, 1, 1, 0, 0), (0, 1, 2, 2, 1, 0, 0, 1, 3, 3, 1, 0),
+                       (2, 0, 1, 0, 1, 2, 3, 3, 2, 2, 2, 2), (3, 3, 0, 0, 3, 3, 1, 1, 1, 1, 2, 2)):
+        yield IntervalSignature(lengths, assignment)
+
+
+def test_position_moments_at_the_free_and_boolean_corners():
+    nonzero = {"free": 0, "boolean": 0}
+    for sig in _corner_signatures():
+        args = (sig.assignment, sig.lengths)
+        operator, combinatorial = position_moment(sig), mixed_moment_brownian(sig)
+        for corner, pq, want in (("free", (1, 1), oracles.free_position_moment(*args)),
+                                 ("boolean", (0, 0), oracles.boolean_position_moment(*args))):
+            assert operator.evaluate(*pq) == combinatorial.evaluate(*pq) == want, (corner, sig)
+            nonzero[corner] += want != 0
+    assert nonzero["free"] >= 90 and nonzero["boolean"] >= 80, nonzero  # 97 and 85 of 124
 
 
 # -- verify's word check walks one suffix tree -----------------------------------------------
