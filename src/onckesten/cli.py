@@ -23,7 +23,8 @@ Exit codes: 0 success, 1 any oracle/equality failure, failed computation
 (one stderr line, no stdout) or reader that closed stdout early (no
 traceback), 2 usage errors.
 Rationals parse as "a/b" or decimal strings, with at most 10,000 digits in
-numerator and denominator; --p and --q must be nonnegative.
+numerator and denominator, and clt --N has at most 10,000 digits; --p and --q
+must be nonnegative.
 
 A process imports only the layers its subcommand runs: enumerate partitions
 and algebra; moments and poisson moments; quadcheck moments and kesten;
@@ -301,7 +302,12 @@ def build_parser(argv) -> argparse.ArgumentParser:
         add_override(p)
 
     def clt_args(p):
-        p.add_argument("--N", type=int, required=True)
+        def count(text):  # refused before int() reads more than _DIGITS digits
+            if len(text.strip().lstrip("+-").lstrip("0")) > _DIGITS:
+                raise argparse.ArgumentTypeError(f"exact inputs are bounded at {_DIGITS:,} digits")
+            return int(text)
+        count.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+        p.add_argument("--N", type=count, required=True)
         p.add_argument("--moment", type=int, required=True)
         add_pq(p)
         add_override(p)

@@ -9,11 +9,19 @@ the next one, and kills every word that does not start with i:
     A*_i (i, j, rest) = w(i, j) . (j, rest),    A*_i (i,) = (),
     w(i, j) = p if i < j,  q if i > j,  1 if i = j.
 
-Moments of normalized sums S_N = (omega_1 + ... + omega_N) / sqrt(N) depend
-on an index word only through its order pattern (relative ranks with ties),
-so phi(S_N^n) collapses to a sum over ordered set partitions weighted by
-binomial coefficients -- exact in N, with the n-th limit moment read off the
-pattern classes with n/2 distinct letters.
+Every vacuum expectation comes from one walk, ``_walk``, which applies the
+sum of omega_i over a set of letters per position to the vacuum, rightmost
+first; a single word has one letter per position.  Only A*_i shortens a
+word, by one letter, so a word longer than the number of positions still to
+act never reaches the vacuum: every step drops such words, which is exact.
+
+With all of [N] at each of n positions the walk gives D(N) = N^(n/2) phi(S_N^n)
+for S_N = (omega_1 + ... + omega_N) / sqrt(N).  A word moment depends only on
+the word's order pattern (relative ranks with ties), so D(N) = sum_r C(N, r) D_r,
+D_r the sum over patterns with r distinct letters.  A letter used once is never
+annihilated, so D_r = 0 past r = n/2: D is a polynomial of degree n/2 in N, and
+its forward differences D_r = Delta^r D(0) are read off the n/2 + 1 walks at
+N = 0..n/2.  The limit moment is D_{n/2} / (n/2)!.
 """
 
 from __future__ import annotations
@@ -26,11 +34,9 @@ from typing import Iterator, Sequence, Tuple
 
 from .algebra import MultiPoly, ONE, P, Q, ZERO, _bump, _check_size
 
-# moment order: clt_class_sums walks all ordered-Bell(n) order patterns,
-# 4,683 at n = 6 but 545,835 at n = 8
-CLT_MOMENT_LIMIT = 6
-
-Pattern = Tuple[int, ...]
+# moment order: clt_class_sums walks all words of up to n/2 letters from
+# [n/2], about 40 ms at n = 10 and 0.6 s at n = 12 (CPython 3.11, 2 cores)
+CLT_MOMENT_LIMIT = 10
 
 
 def kernel_weight(i: int, j: int) -> MultiPoly:
@@ -41,58 +47,49 @@ def kernel_weight(i: int, j: int) -> MultiPoly:
     return ONE
 
 
-def discrete_word_moment(indices: Sequence[int]) -> MultiPoly:
-    """Vacuum expectation of omega_{i_1} ... omega_{i_n} (rightmost acts first)."""
+def _walk(positions: Sequence[Sequence[int]]) -> MultiPoly:
+    """Vacuum expectation of prod_k (sum of omega_i over positions[k]), rightmost acting first."""
     state = {(): ONE}  # word -> amplitude; the vacuum is the empty word
-    for i in reversed(tuple(indices)):
+    for room, letters in reversed(tuple(enumerate(positions))):  # room: positions still to act
         new: dict = {}
         for word, c in state.items():
-            _bump(new, (i,) + word, c)  # A_i
-            if word and word[0] == i:  # A*_i
+            if len(word) < room:  # A_i
+                for i in letters:
+                    _bump(new, (i,) + word, c)
+            if word and word[0] in letters:  # A*_i
                 rest = word[1:]
-                _bump(new, rest, c * kernel_weight(i, rest[0]) if rest else c)
+                _bump(new, rest, c * kernel_weight(word[0], rest[0]) if rest else c)
         state = new
     return state.get((), ZERO)
 
 
-def _rgs(n: int) -> Iterator[Tuple[int, ...]]:
-    """Restricted growth strings: class labels in order of first appearance."""
+def discrete_word_moment(indices: Sequence[int]) -> MultiPoly:
+    """Vacuum expectation of omega_{i_1} ... omega_{i_n} (rightmost acts first)."""
+    return _walk([(i,) for i in indices])
 
-    def rec(prefix: list, used: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
+
+def order_patterns(n: int) -> Iterator[Tuple[int, ...]]:
+    """All rank words on [n], ordered-Bell(n) many: a restricted growth string (class
+    labels in order of first appearance) times a bijection of its classes onto ranks."""
+    def rec(labels: tuple, used: int):
+        if len(labels) < n:
+            for v in range(used + 1):
+                yield from rec(labels + (v,), used + (v == used))
             return
-        for v in range(used + 1):
-            prefix.append(v)
-            yield from rec(prefix, used + (v == used))
-            prefix.pop()
+        for perm in permutations(range(used)):
+            yield tuple(perm[v] for v in labels)
 
-    yield from rec([], 0)
-
-
-def order_patterns(n: int) -> Iterator[Pattern]:
-    """All rank words on [n]: surjections onto {0..r-1} for every r.
-
-    Generated as a restricted growth string (which classes coincide) times a
-    bijection of classes onto ranks; there are ordered-Bell-number many.
-    """
-    for rgs in _rgs(n):
-        r = max(rgs) + 1
-        for perm in permutations(range(r)):
-            yield tuple(perm[v] for v in rgs)
+    yield from rec((), 0)
 
 
 @lru_cache(maxsize=None)
 def clt_class_sums(n: int) -> Tuple[MultiPoly, ...]:
-    """Entry r-1: sum of pattern moments over rank words with r distinct letters."""
-    sums = [ZERO] * n
-    for pattern in order_patterns(n):
-        r = max(pattern) + 1
-        # a letter used an odd number of times is never fully annihilated: moment 0
-        if any(pattern.count(v) % 2 for v in range(r)):
-            continue
-        sums[r - 1] = sums[r - 1] + discrete_word_moment(pattern)
-    return tuple(sums)
+    """Entry r-1: D_r, the sum of pattern moments over rank words with r distinct letters."""
+    half = n // 2
+    d = [_walk([range(N)] * n) for N in range(half + 1)]  # D(N) = N^(n/2) phi(S_N^n)
+    sums = [sum((d[k] * ((-1) ** (r - k) * math.comb(r, k)) for k in range(r + 1)), ZERO)
+            for r in range(1, half + 1)]
+    return tuple(sums) + (ZERO,) * (n - half)
 
 
 def clt_moment(N: int, n: int, override_limits: bool = False) -> MultiPoly:

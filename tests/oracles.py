@@ -121,6 +121,25 @@ def nc_partitions(n):
             yield blocks
 
 
+def clt_lettering_sum(N, n) -> dict:
+    """(e, e', 0) -> coefficient of N^(n/2) phi(S_N^n) in the discrete model.
+
+    Sums over the non-crossing pair partitions of [n] and over the letterings
+    of their pairs from [N]; a term is the product over the nesting edges of
+    w(child, parent): p if the child's letter is smaller, q if it is larger,
+    1 if they are equal.
+    """
+    out = {}
+    for blocks in nc_pair_partitions(n):
+        edges = forest_edges(blocks)
+        for letters in product(range(N), repeat=len(blocks)):
+            letter = dict(zip(blocks, letters))
+            e = sum(1 for parent, child in edges if letter[child] < letter[parent])
+            eprime = sum(1 for parent, child in edges if letter[child] > letter[parent])
+            out[e, eprime, 0] = out.get((e, eprime, 0), 0) + 1
+    return out
+
+
 def mixed_moment(assignment, lengths) -> dict:
     """(e, e', 0) -> coefficient of the mixed moment of an interval signature.
 

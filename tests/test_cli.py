@@ -221,7 +221,7 @@ def test_byte_determinism(capsys):
         ["brownian", "--signature", "f f", "--intervals", "nonsense"],
         ["brownian", "--signature", "f f", "--intervals", "g=[0,1]"],  # name not declared
         ["enumerate", "--n", "16"],  # exceeds the guard without --override-limits
-        ["clt", "--N", "10", "--moment", "8"],
+        ["clt", "--N", "10", "--moment", "12"],
         ["verify", "--order", "9"],
         ["nosuchcommand"],
         ["poisson", "--n", "9"],  # exceeds the general enumeration guard
@@ -300,6 +300,23 @@ def test_rational_lifts_the_int_str_guard_itself():
         sys.set_int_max_str_digits(outer)
 
 
+def test_clt_count_is_bounded_at_ten_thousand_digits(capsys):
+    # int() reads any length once main lifts the guard, so a longer --N is refused before it
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["clt", "--N", "9" * 10_001, "--moment", "4"])
+    assert info.value.code == 2 and time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert out == "" and errors == ["onckesten clt: error: argument --N: exact inputs are bounded at 10,000 digits"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(["clt", "--N", "x", "--moment", "4"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "onckesten clt: error: argument --N: invalid int value: 'x'"
+    code, out = run_cli(capsys, "clt", "--N", "9" * 10_000, "--moment", "4")
+    assert code == 0 and f'"N": {"9" * 10_000},' in out
+
+
 def test_unpaired_p_exits_before_computing(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("moment_report ran before the --p/--q check")
@@ -332,10 +349,10 @@ def test_unexpected_error_exits_one_with_one_stderr_line(capsys, monkeypatch):
 
 def test_size_guard_names_the_override_flag(capsys):
     with pytest.raises(SystemExit) as info:
-        cli.main(["clt", "--N", "10", "--moment", "8"])
+        cli.main(["clt", "--N", "10", "--moment", "12"])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "n = 8 exceeds the limit 6" in err and "--override-limits" in err
+    assert "n = 12 exceeds the limit 10" in err and "--override-limits" in err
 
 
 @pytest.mark.parametrize(

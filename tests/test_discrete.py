@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from onckesten.algebra import MultiPoly, ONE, P, Q, ZERO
 from onckesten.discrete import (
     CLT_MOMENT_LIMIT,
@@ -73,8 +74,8 @@ def test_word_moment_golden_digest():
 
 
 def test_odd_multiplicity_words_vanish():
-    # clt_class_sums skips these patterns, and clt_moment returns zero for odd n
-    # because every odd-length pattern has such a letter
+    # a letter used an odd number of times is never fully annihilated; every
+    # odd-length pattern has one, so clt_moment is zero at odd n
     checked = 0
     for n in range(1, 7):
         for pattern in order_patterns(n):
@@ -88,6 +89,23 @@ def test_odd_orders_are_checked_before_they_vanish():
     # test_limit_guards covers the size guard at an odd order; N is checked too
     with pytest.raises(ValueError):
         clt_moment(0, 3)
+
+
+def test_class_sums_equal_the_order_pattern_sums():
+    # the brute reference: D_r adds the word moment of every rank word with r letters
+    for n in range(1, 7):
+        brute = [ZERO] * n
+        for pattern in order_patterns(n):
+            brute[max(pattern)] += discrete_word_moment(pattern)
+        assert clt_class_sums(n) == tuple(brute), n
+
+
+def test_moments_equal_the_lettering_sum_oracle():
+    # N^(n/2) phi(S_N^n) from pairings and letterings; N > n/2 lies past the
+    # points the forward differences are read from
+    for n in range(2, 9, 2):
+        for N in range(1, 6):
+            assert clt_moment(N, n) * N ** (n // 2) == MultiPoly(oracles.clt_lettering_sum(N, n)), (N, n)
 
 
 def test_class_sums_low_order():
@@ -120,8 +138,8 @@ def test_clt_moment_single_site():
 
 
 def test_leading_term_matches_continuous_moments():
-    table = sequences_by_recursion(3)
-    for n in (2, 4, 6):
+    table = sequences_by_recursion(5)
+    for n in (2, 4, 6, 8, 10):
         assert clt_leading_term(n) == table.r[n // 2]
     assert clt_leading_term(3) == ZERO
 
@@ -144,4 +162,4 @@ def test_limit_guards():
             clt_leading_term(n)
     # odd orders are zero before any size check
     assert clt_leading_term(CLT_MOMENT_LIMIT + 1) == ZERO
-    assert clt_leading_term(8, override_limits=True) == sequences_by_recursion(4).r[4]
+    assert clt_leading_term(12, override_limits=True) == sequences_by_recursion(6).r[6]
